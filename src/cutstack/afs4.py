@@ -90,7 +90,10 @@ def rule_from_json(obj: dict) -> Rule:
     if kind == "prefix":
         return PrefixRule(tuple(int(v) for v in obj["values"]))
     if kind == "h_scale":
-        return HScaleRule(int(obj["num"]), int(obj.get("den", 1)), int(obj.get("plus", 0)))
+        rule = HScaleRule(int(obj["num"]), int(obj.get("den", 1)), int(obj.get("plus", 0)))
+        if rule.den < 1:
+            raise ValueError(f"h_scale den must be positive, got {rule.den}")
+        return rule
     if kind == "w_minimal":
         return WMinimalRule()
     if kind == "ratio_cycle":

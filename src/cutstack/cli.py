@@ -33,6 +33,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_build(args) -> int:
     family = load_family(args.family)
+    if args.stage < family.first_stage:
+        raise CutstackError(f"--stage {args.stage} is below the family's first stage "
+                            f"{family.first_stage}")
     report = Report(f"build stage={args.stage}", family)
     for n in range(family.first_stage, args.stage + 1):
         col = build_column(family, n)
@@ -82,8 +85,11 @@ def cmd_synthesize(args) -> int:
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    p_s, q_s = text.split("/", 1)
-    p, q = int(p_s), int(q_s)
+    try:
+        p_s, q_s = text.split("/")
+        p, q = int(p_s), int(q_s)
+    except ValueError:
+        raise ValueError(f"--ratio {text!r}: expected p/q with integers p and q") from None
     if p < 1 or q < 1:
         raise ValueError("ratio must have positive parts")
     return p, q
@@ -134,8 +140,12 @@ def cmd_correlate(args) -> int:
     powers = [int(s) for s in args.powers.split(",")]
     if len(targets) != len(sets) or len(powers) != len(sets):
         raise CutstackError("need matching --set/--target/--powers arities")
-    lo_s, hi_s = args.range.split("..", 1)
-    lo, hi = int(lo_s), int(hi_s)
+    try:
+        lo_s, hi_s = args.range.split("..")
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        raise ValueError(f"--range {args.range!r}: expected a..b with integers a and b") \
+            from None
     if hi - lo > args.max_rows:
         raise CutstackError(f"range wider than {args.max_rows} rows; "
                             "narrow it or raise --max-rows")
@@ -169,12 +179,7 @@ def cmd_witness(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cutstack",
-        description="Exact-arithmetic cutting-and-stacking tower analysis. "
-                    "The CUTSTACK_CACHE_DIR environment variable is reserved "
-                    "for a persistent column cache (columns are currently "
-                    "cached in memory only).")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; every operation is deterministic")
+        description="Exact-arithmetic cutting-and-stacking tower analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="materialize columns and report heights/offsets")

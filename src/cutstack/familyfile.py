@@ -31,6 +31,40 @@ def family_to_json(family: Family) -> dict:
     return doc
 
 
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, parse, default=_REQUIRED, where: str = ""):
+    """Parse ``doc[key]``; a missing key or malformed value is a SchemaError naming it.
+
+    An absent or null key gives ``default``, or an error when there is none.
+    """
+    name = where + key
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field {name!r}")
+        return default
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise SchemaError(f"field {name!r}: missing key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"field {name!r}: {exc}") from exc
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _ratios(items) -> tuple[Fraction, ...]:
+    if not isinstance(items, list):
+        raise TypeError(f"expected a list of p/q strings, got {type(items).__name__}")
+    return tuple(parse_reduced_unit_fraction(s) for s in items)
+
+
 def family_from_json(doc: dict) -> Family:
     if not isinstance(doc, dict):
         raise SchemaError("family file must be a JSON object")
@@ -40,32 +74,29 @@ def family_from_json(doc: dict) -> Family:
     kind = doc.get("kind")
     if kind == "afs4":
         if "synthesis" in doc:
-            syn = doc["synthesis"]
+            syn = _field(doc, "synthesis", _object)
             spec = DirectionSpec(
-                ratios=tuple(parse_reduced_unit_fraction(s) for s in syn["ratios"]),
-                complement=tuple(parse_reduced_unit_fraction(s)
-                                 for s in syn.get("complement", [])),
-                ergodic_subset=(None if syn.get("ergodic_subset") is None else
-                                tuple(parse_reduced_unit_fraction(s)
-                                      for s in syn["ergodic_subset"])),
+                ratios=_field(syn, "ratios", _ratios, where="synthesis."),
+                complement=_field(syn, "complement", _ratios, (), "synthesis."),
+                ergodic_subset=_field(syn, "ergodic_subset", _ratios, None, "synthesis."),
                 complement_complete=bool(syn.get("complement_complete", False)),
             )
-            return SynthesizedParams(spec, syn["mode"])
+            return SynthesizedParams(spec, _field(syn, "mode", str, where="synthesis."))
         rules = doc.get("rules")
         if not isinstance(rules, dict) or set(rules) != {"a", "b", "c", "d"}:
             raise SchemaError("afs4 family needs rules for a, b, c, d")
         return AfsParams(
-            rule_from_json(rules["a"]), rule_from_json(rules["b"]),
-            rule_from_json(rules["c"]), rule_from_json(rules["d"]),
+            *(_field(rules, k, lambda v: rule_from_json(_object(v)), where="rules.")
+              for k in "abcd"),
             label=doc.get("label", "afs4"),
         )
     if kind == "vl":
         spec = vlmod.VlSpec(
-            L=int(doc["L"]),
-            r=vlmod.r_rule_from_json(doc["r"]),
-            vector_order=(None if doc.get("vector_order") is None else
-                          tuple(tuple(int(u) for u in v) for v in doc["vector_order"])),
-            horizon=doc.get("horizon"),
+            L=_field(doc, "L", int),
+            r=_field(doc, "r", lambda v: vlmod.r_rule_from_json(_object(v))),
+            vector_order=_field(doc, "vector_order",
+                                lambda vs: tuple(tuple(int(u) for u in v) for v in vs), None),
+            horizon=_field(doc, "horizon", int, None),
             label=doc.get("label", "vl"),
         )
         return vlmod.VlFamily(spec)

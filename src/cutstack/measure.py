@@ -23,6 +23,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"rational {text!r} has a zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

@@ -8,7 +8,7 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -18,13 +18,17 @@ Run = tuple[int, int]
 def normalize(pairs: Iterable[Run]) -> tuple[Run, ...]:
     """Sort, drop empty runs, and merge touching/overlapping ones."""
     items = sorted((s, t) for s, t in pairs if t > s)
+    if not items:
+        return ()
     out: list[Run] = []
+    cs, ct = items[0]
     for s, t in items:
-        if out and s <= out[-1][1]:
-            if t > out[-1][1]:
-                out[-1] = (out[-1][0], t)
-        else:
-            out.append((s, t))
+        if s > ct:
+            out.append((cs, ct))
+            cs, ct = s, t
+        elif t > ct:
+            ct = t
+    out.append((cs, ct))
     return tuple(out)
 
 
@@ -48,18 +52,29 @@ def shift(runs: tuple[Run, ...], offset: int) -> tuple[Run, ...]:
 
 
 def intersect(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
+    if not a or not b:
+        return ()
     out: list[Run] = []
+    na, nb = len(a), len(b)
     i = j = 0
-    while i < len(a) and j < len(b):
-        s = max(a[i][0], b[j][0])
-        t = min(a[i][1], b[j][1])
-        if t > s:
-            out.append((s, t))
-        if a[i][1] < b[j][1]:
+    sa, ta = a[0]
+    sb, tb = b[0]
+    while True:
+        s = sa if sa > sb else sb
+        if ta < tb:
+            if ta > s:
+                out.append((s, ta))
             i += 1
+            if i == na:
+                return tuple(out)
+            sa, ta = a[i]
         else:
+            if tb > s:
+                out.append((s, tb))
             j += 1
-    return tuple(out)
+            if j == nb:
+                return tuple(out)
+            sb, tb = b[j]
 
 
 def union(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
@@ -97,17 +112,34 @@ def iter_indices(runs: tuple[Run, ...]) -> Iterator[int]:
 
 
 def cross_difference_count(a: tuple[Run, ...], b: tuple[Run, ...], c: int) -> int:
-    """Number of pairs (x, y) with x in a, y in b and x - y = c."""
-    total = 0
-    for s, t in a:
-        shifted = ((s - c, t - c),)
-        total += count(intersect(shifted, b))
-    return total
+    """Number of pairs (x, y) with x in a, y in b and x - y = c.
+
+    That is the size of a meet (b + c): one linear merge, O(|a| + |b|) runs.
+    """
+    return count(intersect(a, shift(b, c)))
 
 
-def cross_difference_runs(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
-    """All achievable differences x - y (x in a, y in b) as runs."""
-    return normalize((sa - tb + 1, ta - sb) for sa, ta in a for sb, tb in b)
+def cross_difference_runs(a: tuple[Run, ...], b: tuple[Run, ...],
+                          lo: int, hi: int) -> tuple[Run, ...]:
+    """All differences x - y (x in a, y in b) inside [lo, hi], as runs.
+
+    Run (sa, ta) of a pairs with run (sb, tb) of b inside the window exactly
+    when tb > sa - hi and sb < ta - lo. Starts and stops of b are both
+    sorted, so those runs form one contiguous block found by two bisections.
+    Cost: O(|b| + |a| log|b| + P log P) for the P run pairs that reach the
+    window, never |a| * |b| unless the window asks for all of them.
+    """
+    if lo > hi:
+        return ()
+    starts = [sb for sb, _ in b]
+    stops = [tb for _, tb in b]
+    out: list[Run] = []
+    for sa, ta in a:
+        first = bisect_right(stops, sa - hi)
+        for sb, tb in b[first:bisect_left(starts, ta - lo, first)]:
+            s, t = sa - tb + 1, ta - sb
+            out.append((s if s > lo else lo, t if t <= hi else hi + 1))
+    return normalize(out)
 
 
 @dataclass(frozen=True)

@@ -439,7 +439,9 @@ def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
         dhi = hi + A0.max_index() - B0.min_index()
         dc = engine.pair_diff_counts(fam, n0, M, dlo, dhi,
                                      _constraint_map(A0), _constraint_map(B0))
-        cd = rn.cross_difference_runs(A0.runs, B0.runs)
+        # only differences a - b with delta - (a - b) in [lo_nn, hi] for some delta
+        cd = (rn.cross_difference_runs(A0.runs, B0.runs, min(dc) - hi, max(dc) - lo_nn)
+              if dc else ())
         for delta in dc:
             # j = delta - (a - b): reflect the cross-difference runs
             parts.extend((delta - (t - 1), delta - s + 1) for s, t in cd)

@@ -146,15 +146,19 @@ def r_rule_from_json(obj: dict) -> RRule:
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """floor(x^(1/n)) for x >= 0 by Newton iteration on integers."""
+    """floor(x^(1/n)) for x >= 0 by Newton iteration on integers.
+
+    The seed 2^ceil(bits/n) lies above the root, and from above the integer
+    Newton step decreases strictly until it reaches the floor of the root.
+    """
     if x < 2:
         return x
-    guess = int(round(x ** (1.0 / n))) + 1
-    while guess ** n > x:
-        guess = ((n - 1) * guess + x // guess ** (n - 1)) // n
-    while (guess + 1) ** n <= x:
-        guess += 1
-    return guess
+    guess = 1 << -(-x.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * guess + x // guess ** (n - 1)) // n
+        if nxt >= guess:
+            return guess
+        guess = nxt
 
 
 def _ceil_c_n_alpha(c: Fraction, n: int, alpha: Fraction) -> int:

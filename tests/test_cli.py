@@ -64,6 +64,63 @@ def test_build_vl_schema_error(tmp_path, capsys):
     assert "stage 1" in capsys.readouterr().err
 
 
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_build_vl_missing_field(tmp_path, capsys):
+    doc = {key: value for key, value in VL_GEOMETRIC.items() if key != "L"}
+    assert main(["build", _write(tmp_path, "nol.json", doc), "--stage", "2"]) == 2
+    assert capsys.readouterr().err == "error: missing field 'L'\n"
+
+
+def test_build_zero_denominator_ratio(tmp_path, capsys):
+    doc = json.loads(json.dumps(PRESET))
+    doc["rules"]["c"] = {"kind": "ratio_cycle", "ratios": ["1/2", "1/0"]}
+    assert main(["build", _write(tmp_path, "rc.json", doc), "--stage", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'rules.c'") and "'1/0'" in err
+
+
+@pytest.mark.parametrize("rules_a, field", [
+    ({"kind": "const"}, "missing key 'value'"),
+    ({"kind": "const", "value": "x"}, "invalid literal"),
+    (5, "expected a JSON object"),
+    ({"kind": "h_scale", "num": 3, "den": 0}, "den must be positive"),
+])
+def test_build_malformed_rule(tmp_path, capsys, rules_a, field):
+    doc = json.loads(json.dumps(EXAMPLE))
+    doc["rules"]["a"] = rules_a
+    assert main(["build", _write(tmp_path, "bad.json", doc), "--stage", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'rules.a'") and field in err
+
+
+def test_build_rejects_stage_below_first(example_file, tmp_path, capsys):
+    assert main(["build", example_file, "--stage", "-3"]) == 2
+    assert "below the family's first stage 0" in capsys.readouterr().err
+    vl_path = _write(tmp_path, "vl.json", VL_GEOMETRIC)
+    assert main(["build", vl_path, "--stage", "0"]) == 2
+    assert "first stage 1" in capsys.readouterr().err
+    assert main(["build", vl_path, "--stage", "1"]) == 0
+
+
+def test_argument_forms_are_named(example_file, capsys):
+    assert main(["classify", example_file, "--ratio", "12"]) == 2
+    assert "expected p/q" in capsys.readouterr().err
+    assert main(["correlate", example_file, "--set", "0:0", "--powers", "1",
+                 "--range", "0-3"]) == 2
+    assert "expected a..b" in capsys.readouterr().err
+
+
+def test_seed_flag_is_gone(example_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "build", example_file, "--stage", "1"])
+    assert exc.value.code == 2
+
+
 def test_synthesize_and_classify(tmp_path, capsys):
     fam_path = tmp_path / "r12.json"
     assert main(["synthesize", "--R", "1/2", "--stages", "8",

@@ -50,8 +50,39 @@ def test_cross_difference_count(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_cross_difference_runs(a, b):
     ra, rb = rn.from_indices(a), rn.from_indices(b)
-    diffs = set(rn.iter_indices(rn.cross_difference_runs(ra, rb)))
+    diffs = set(rn.iter_indices(rn.cross_difference_runs(ra, rb, -400, 400)))
     assert diffs == {x - y for x in a for y in b}
+
+
+windows = st.one_of(
+    st.tuples(st.integers(-450, 450), st.integers(-450, 450)),  # any, often inverted
+    st.integers(-450, 450).map(lambda x: (x, x)),  # single point
+    st.integers(-450, 450).flatmap(lambda lo: st.tuples(st.just(lo),
+                                                         st.integers(lo, lo + 40))),
+    st.just((-401, 401)),  # covers every difference
+    st.just((-400, -1)),  # negative
+)
+
+
+@given(index_sets, index_sets, windows)
+@settings(max_examples=200, deadline=None)
+def test_cross_difference_runs_window(a, b, window):
+    lo, hi = window
+    ra, rb = rn.from_indices(a), rn.from_indices(b)
+    got = rn.cross_difference_runs(ra, rb, lo, hi)
+    assert got == rn.normalize(got)
+    assert set(rn.iter_indices(got)) == {x - y for x in a for y in b if lo <= x - y <= hi}
+
+
+def test_cross_difference_runs_edge_windows():
+    a, b = ((0, 3), (10, 12)), ((1, 2), (5, 7))  # differences -6..-3, -1..1, 4..6, 9..10
+    assert rn.cross_difference_runs(a, b, 5, 4) == ()
+    assert rn.cross_difference_runs((), b, -100, 100) == ()
+    assert rn.cross_difference_runs(a, (), -100, 100) == ()
+    assert rn.cross_difference_runs(a, b, 0, 0) == ((0, 1),)
+    assert rn.cross_difference_runs(a, b, -100, -1) == ((-6, -2), (-1, 0))
+    assert rn.cross_difference_runs(a, b, -100, 100) == ((-6, -2), (-1, 2), (4, 7), (9, 11))
+    assert rn.cross_difference_runs(a, b, 5, 9) == ((5, 7), (9, 10))
 
 
 def test_runset_surface():

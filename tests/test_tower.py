@@ -161,6 +161,32 @@ def test_return_support_window(example_family, example_naive):
         assert (j in sup) == (example_naive.correlation(0, {0}, 0, {0}, j) > 0)
 
 
+def _random_runs(rng, top, nruns):
+    """nruns disjoint, non-touching runs of 1-3 levels inside [0, top)."""
+    starts = sorted(rng.sample(range(0, top, 5), nruns))
+    return [(s, s + rng.randint(1, 3)) for s in starts]
+
+
+# (fixture name, stage, sets live in [0, top), every |j| <= reach stays valid)
+@pytest.mark.parametrize("name, stage, top, reach",
+                         [("roomy", 2, 1600, 780), ("example", 3, 500, 360)])
+def test_wide_level_sets_match_naive(request, name, stage, top, reach):
+    fam = request.getfixturevalue(f"{name}_family")
+    naive = request.getfixturevalue(f"{name}_naive")
+    rng = random.Random(11)
+    for nruns in (10, 25, 40):
+        A = LevelSet.from_ranges(fam, stage, _random_runs(rng, top, nruns))
+        B = LevelSet.from_ranges(fam, stage, _random_runs(rng, top, rng.randint(10, 40)))
+        a_idx, b_idx = set(A.indices()), set(B.indices())
+        lo = rng.randint(-reach, reach - 60)
+        for lo, hi in [(lo, lo + 60), (-30, 30), (-reach, -reach + 40)]:
+            sup = return_support(A, B, lo, hi)
+            for j in range(lo, hi + 1):
+                want = naive.correlation(stage, a_idx, stage, b_idx, j)
+                assert correlation(A, B, j) == want
+                assert (j in sup) == (want > 0)
+
+
 def test_cross_stage_correlation_vl(vl_small, vl_small_naive):
     rng = random.Random(5)
     for _ in range(25):

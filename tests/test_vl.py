@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from cutstack.vl import (ConstR, GeometricR, PowerR, PrefixR, VlFamily, VlSpec,
                          WitnessPair, build_vl, enumerate_vectors,
                          independence_check, r_value, s_index, series_index,
                          sweep_probe, t_times, tail_bound, vector_index,
-                         witness_sets, witness_verify, witness_violations)
+                         witness_sets, witness_verify, witness_violations,
+                         _int_nth_root)
 
 
 def test_enumerate_vectors():
@@ -79,6 +82,44 @@ def test_r_rules():
     assert r_value(PrefixR((4, 5)), 2) == 5
     with pytest.raises(SchemaError):
         r_value(PrefixR((4,)), 2)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_int_nth_root_exact():
+    for n in range(1, 6):
+        for x in range(3000):
+            r = _int_nth_root(x, n)
+            assert r ** n <= x < (r + 1) ** n
+    for n in (2, 3, 7):
+        for root in (10 ** 60, 10 ** 60 + 1, 3 ** 200 - 1):
+            assert _int_nth_root(root ** n, n) == root
+            assert _int_nth_root(root ** n - 1, n) == root - 1
+
+
+def test_int_nth_root_large_square_is_fast():
+    x = 10 ** 150 + 10 ** 140
+    with _deadline(0.5):
+        assert _int_nth_root(x * x, 2) == x
+
+
+def test_power_rule_beyond_float_range():
+    with _deadline(0.5):
+        assert r_value(PowerR(Fraction(10 ** 400), Fraction(1, 2)), 4) == 2 * 10 ** 400
+        assert r_value(PowerR(Fraction(10 ** 400, 3), Fraction(1, 3)), 8) == \
+            -(-2 * 10 ** 400 // 3)
 
 
 def test_rejects_small_or_decreasing_r():
