@@ -20,8 +20,9 @@ from .synthesis import (DirectionSpec, SynthesisTrace, block_partition,
                         pair_schedule, separation, synthesize_R,
                         synthesize_three_way)
 from .tower import (Column, Family, LevelSet, apply_power, build_column,
-                    correlation, decompose, heights, intersection_measure,
-                    product_correlation, return_support, triple_correlation)
+                    correlation, correlation_profile, decompose, heights,
+                    intersection_measure, product_correlation, return_support,
+                    triple_correlation)
 from .vl import (IndependenceReport, VlFamily, VlSpec, WitnessPair, build_vl,
                  enumerate_vectors, independence_check, s_index, series_index,
                  sweep_probe, t_times, witness_sets, witness_verify,
@@ -33,7 +34,7 @@ __all__ = [
     "MeasureValue", "PrefixRule", "RatioCycleRule", "RunSet",
     "SynthesisTrace", "Verdict", "VlFamily", "VlSpec", "WMinimalRule",
     "WitnessPair", "apply_power", "block_partition", "build_column",
-    "build_vl", "classify", "correlation", "decompose",
+    "build_vl", "classify", "correlation", "correlation_profile", "decompose",
     "divisibility_condition", "enumerate_vectors", "format_rational",
     "gap_condition", "heights", "independence_check", "intersection_measure",
     "k_intervals", "lambda_set", "limit_ratio_membership", "pair_schedule",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from . import vl as vlmod
@@ -21,7 +22,7 @@ from .familyfile import Report, csv_text, load_family, save_family
 from .measure import format_rational, parse_reduced_unit_fraction
 from .products import classify
 from .synthesis import DirectionSpec, synthesize_R, synthesize_three_way
-from .tower import LevelSet, build_column, product_correlation
+from .tower import LevelSet, build_column, correlation_profile
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -117,44 +118,59 @@ def cmd_classify(args) -> int:
     return verdict.exit_code
 
 
-def _parse_level_set(family, text: str) -> LevelSet:
+def _parse_level_set(family, flag: str, text: str) -> LevelSet:
     """stage:idx1,idx2,... or stage:lo-hi for a contiguous block."""
-    stage_s, _, idx_s = text.partition(":")
-    stage = int(stage_s)
-    ranges = []
-    for chunk in idx_s.split(","):
-        if "-" in chunk:
-            lo_s, hi_s = chunk.split("-", 1)
-            ranges.append((int(lo_s), int(hi_s) + 1))
-        else:
-            k = int(chunk)
-            ranges.append((k, k + 1))
+    stage_s, colon, idx_s = text.partition(":")
+    try:
+        if not colon:
+            raise ValueError
+        stage = int(stage_s)
+        ranges = []
+        for chunk in idx_s.split(","):
+            lo_s, dash, hi_s = chunk.partition("-")
+            lo = int(lo_s)
+            hi = int(hi_s) if dash else lo
+            if hi < lo:
+                raise ValueError
+            ranges.append((lo, hi + 1))
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: expected stage:idx[,idx|lo-hi]") from None
     return LevelSet.from_ranges(family, stage, ranges)
 
 
 def cmd_correlate(args) -> int:
     family = load_family(args.family)
-    sets = [_parse_level_set(family, s) for s in args.set]
-    targets = ([_parse_level_set(family, s) for s in args.target]
+    sets = [_parse_level_set(family, "--set", s) for s in args.set]
+    targets = ([_parse_level_set(family, "--target", s) for s in args.target]
                if args.target else sets)
     powers = [int(s) for s in args.powers.split(",")]
     if len(targets) != len(sets) or len(powers) != len(sets):
         raise CutstackError("need matching --set/--target/--powers arities")
+    if 0 in powers:
+        raise ValueError("powers must be nonzero")
     try:
         lo_s, hi_s = args.range.split("..")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise ValueError(f"--range {args.range!r}: expected a..b with integers a and b") \
             from None
-    if hi - lo > args.max_rows:
+    if hi - lo + 1 > args.max_rows:
         raise CutstackError(f"range wider than {args.max_rows} rows; "
                             "narrow it or raise --max-rows")
+    # one profile per coordinate over the lags p*[lo, hi], sampled at p*i
+    columns = []
+    for a, b, p in zip(sets, targets, powers):
+        if p > 0:
+            columns.append(correlation_profile(a, b, p * lo, p * hi, p))
+        else:
+            columns.append(correlation_profile(a, b, p * hi, p * lo, -p)[::-1])
+    zero = format_rational(Fraction(0))
     rows = []
-    for i in range(lo, hi + 1):
-        value = product_correlation(sets, targets, powers, i)
-        if args.positive_only and value == 0:
-            continue
-        rows.append([str(i), format_rational(value)])
+    for i, factors in zip(range(lo, hi + 1), zip(*columns)):
+        if all(factors):
+            rows.append([str(i), format_rational(prod(factors))])
+        elif not args.positive_only:
+            rows.append([str(i), zero])
     _emit(csv_text(["i", "correlation"], rows), args.out)
     return 0
 
@@ -220,7 +236,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", action="append",
                    metavar="stage:idx[,idx|lo-hi]")
     p.add_argument("--powers", required=True, metavar="p1,p2,...")
-    p.add_argument("--range", required=True, metavar="a..b")
+    p.add_argument("--range", required=True, metavar="a..b",
+                   help="inclusive lag range; a negative start needs --range=-a..b")
     p.add_argument("--positive-only", action="store_true")
     p.add_argument("--max-rows", type=int, default=100_000)
     p.add_argument("--out")

@@ -357,6 +357,63 @@ def correlation(A: LevelSet, B: LevelSet, j: int) -> Fraction:
     return hits * fam.level_width(M) if hits else Fraction(0)
 
 
+_ZERO = Fraction(0)
+
+
+def correlation_profile(A: LevelSet, B: LevelSet, lo: int, hi: int,
+                        step: int = 1) -> list[Fraction]:
+    """``correlation(A, B, j)`` for every j in ``range(lo, hi + 1, step)``.
+
+    One engine walk answers all lags of one sign: it runs at the lift stage
+    valid for the largest lag, and each returned delta is spread over the
+    lags it reaches. Lags below zero swap A and B and reflect, as in
+    :func:`return_support`. The run-set work is the same (delta, lag) pairs
+    that per-lag :func:`correlation` calls would do; only the walks are
+    shared. ``step`` samples a coarser lag grid, such as p * i for a power p.
+    """
+    if step < 1:
+        raise ValueError("step must be positive")
+    lags = range(lo, hi + 1, step)
+    if not lags or A.is_empty() or B.is_empty():
+        return [_ZERO] * len(lags)
+    k = len(range(lo, min(hi + 1, 0), step))  # lags below zero come first
+    out: list[Fraction] = []
+    if k:
+        out = _profile_nonneg(B, A, range(-lags[k - 1], -lo + 1, step))[::-1]
+    if k < len(lags):
+        out += _profile_nonneg(A, B, lags[k:])
+    return out
+
+
+def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
+    n0, (A0, B0) = _common_stage([A, B])
+    fam = A.family
+    first, last, step = lags[0], lags[-1], lags.step
+    M = max(engine.minimal_valid_stage(fam, n0, A0.max_index() + last),
+            _constraint_floor([A0, B0]))
+    # delta - j is a difference a - b of A0 and B0 indices
+    x_lo = A0.min_index() - B0.max_index()
+    x_hi = A0.max_index() - B0.min_index()
+    dc = engine.pair_diff_counts(fam, n0, M, first + x_lo, last + x_hi,
+                                 _constraint_map(A0), _constraint_map(B0))
+    # counts per difference, memoised sparsely: a dense array over the span of
+    # the sets' differences would be huge for wide level sets
+    cross: dict[int, int] = {}
+    hits = [0] * len(lags)
+    for delta, ways in dc.items():
+        j0 = max(first, delta - x_hi)
+        j0 += -(j0 - first) % step  # round up onto the lag grid
+        for j in range(j0, min(last, delta - x_lo) + 1, step):
+            x = delta - j
+            c = cross.get(x)
+            if c is None:
+                c = cross[x] = rn.cross_difference_count(A0.runs, B0.runs, x)
+            if c:
+                hits[(j - first) // step] += ways * c
+    width = fam.level_width(M)
+    return [h * width if h else _ZERO for h in hits]
+
+
 def product_correlation(As: list[LevelSet], Bs: list[LevelSet],
                         powers: list[int], i: int) -> Fraction:
     """Exact product-measure correlation of product sets at lag i.

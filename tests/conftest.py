@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from cutstack.afs4 import AfsParams, ConstRule, preset_infinite_ergodic_index
@@ -11,6 +14,23 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         status = "PASS" if report.passed else "FAIL"
         print(f"\n[acceptance] {name}: {status}")
+
+
+@pytest.fixture
+def deadline():
+    """Context manager that fails the body once it runs past ``seconds``."""
+    @contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"took longer than {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return within
 
 
 @pytest.fixture(scope="session")

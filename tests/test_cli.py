@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from cutstack.cli import main
 from cutstack.familyfile import (family_from_json, family_to_json, load_family,
                                  save_family)
 from cutstack.synthesis import DirectionSpec, synthesize_R
+from cutstack.tower import LevelSet, product_correlation
 
 EXAMPLE = {
     "format_version": 1, "kind": "afs4", "label": "example",
@@ -185,6 +187,81 @@ def test_correlate_vl_family(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[1] == "0,1/1"
     assert rows[2] == "3,1/2"  # the second copy sits at offset 3 in C_2
+
+
+def _csv(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "i,correlation"
+    return {int(i): Fraction(v) for i, v in (row.split(",") for row in lines[1:])}
+
+
+def test_correlate_max_rows_counts_rows(example_file, capsys):
+    argv = ["correlate", example_file, "--set", "0:0", "--powers", "1", "--range", "0..10"]
+    assert main(argv + ["--max-rows", "10"]) == 2
+    assert "range wider than 10 rows" in capsys.readouterr().err
+    assert main(argv + ["--max-rows", "11"]) == 0
+    assert sorted(_csv(capsys)) == list(range(11))
+
+
+@pytest.mark.parametrize("flag, token", [
+    ("--set", "1:5-2"), ("--set", "1:x"), ("--set", "15"), ("--target", "1:"),
+    ("--target", "a:3"),
+])
+def test_correlate_rejects_bad_level_sets(example_file, capsys, flag, token):
+    argv = ["correlate", example_file, "--set", "1:0", "--powers", "1", "--range", "0..3"]
+    argv[argv.index("--set"):argv.index("--set") + 2] = (
+        ["--set", token] if flag == "--set" else ["--set", "1:0", "--target", token])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {token!r}: expected stage:idx[,idx|lo-hi]\n"
+
+
+@pytest.mark.parametrize("sets, targets, powers, lags", [
+    (["1:0,7,9-12"], ["1:3-6"], "1", "-150..150"),
+    (["1:0,7,9-12"], ["2:3-6,40"], "-1", "-150..150"),
+    (["1:0-5", "0:0"], ["1:2,30", "0:0"], "1,2", "-60..90"),
+    (["2:5", "1:0-3"], ["2:1,40", "1:7"], "-1,3", "-40..40"),
+])
+def test_correlate_rows_match_product_correlation(example_file, capsys, sets, targets,
+                                                  powers, lags):
+    argv = ["correlate", example_file, f"--powers={powers}", f"--range={lags}"]
+    for s, t in zip(sets, targets):
+        argv += ["--set", s, "--target", t]
+    assert main(argv) == 0
+    rows = _csv(capsys)
+    lo, hi = (int(x) for x in lags.split(".."))
+    assert sorted(rows) == list(range(lo, hi + 1)) and any(rows.values())
+    fam = load_family(example_file)
+
+    def level_set(text):
+        stage, _, idx = text.partition(":")
+        ranges = [(int(c.partition("-")[0]), int(c.partition("-")[2] or c) + 1)
+                  for c in idx.split(",")]
+        return LevelSet.from_ranges(fam, int(stage), ranges)
+    As, Bs = [level_set(s) for s in sets], [level_set(t) for t in targets]
+    ps = [int(p) for p in powers.split(",")]
+    for i in range(lo, hi + 1, 7):
+        assert rows[i] == product_correlation(As, Bs, ps, i)
+    assert main(argv + ["--positive-only"]) == 0
+    assert _csv(capsys) == {i: v for i, v in rows.items() if v}
+
+
+def test_correlate_zero_power_exits_2(example_file, capsys):
+    assert main(["correlate", example_file, "--set", "0:0", "--set", "0:0",
+                 "--powers", "1,0", "--range", "0..3"]) == 2
+    assert capsys.readouterr().err == "error: powers must be nonzero\n"
+
+
+def test_correlate_long_sweep_is_one_walk(example_file, capsys, deadline):
+    # the lift stage grows with the lag (stage 149 at lag 2999), so a walk per
+    # row took over a minute here
+    with deadline(5):
+        assert main(["correlate", example_file, "--set", "0:0", "--powers", "1",
+                     "--range", "0..3000"]) == 0
+    rows = _csv(capsys)
+    assert len(rows) == 3001
+    assert rows[4] == Fraction(1, 4) and rows[100] == Fraction(171, 1024)
 
 
 def test_witness_command(tmp_path, capsys):

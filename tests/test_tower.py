@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutstack.afs4 import AfsParams, ConstRule
+from cutstack import engine
 from cutstack.errors import LiftError
 from cutstack.tower import (LevelSet, apply_power, build_column, check_tiling,
-                            correlation, decompose, heights,
+                            correlation, correlation_profile, decompose, heights,
                             intersection_measure, product_correlation,
                             return_support, triple_correlation)
 
@@ -199,6 +200,71 @@ def test_cross_stage_correlation_vl(vl_small, vl_small_naive):
                           LevelSet.from_indices(vl_small, sb, B), j)
         assert got == vl_small_naive.correlation(sa, set(A), sb, set(B), j)
 
+
+
+def _profile_case(data, fam):
+    """Two level sets (A possibly letter-constrained) and a lag grid."""
+    def level_set(stage):
+        h = fam.height(stage)
+        idx = data.draw(st.sets(st.integers(0, min(h, 60) - 1), min_size=1, max_size=4))
+        return LevelSet.from_indices(fam, stage, idx)
+    first = fam.first_stage
+    A = level_set(data.draw(st.integers(first, first + 2)))
+    B = level_set(data.draw(st.integers(first, first + 2)))
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(A.stage, first + 3))
+        r = fam.cuts_between(t)
+        A = A.constrain(t, tuple(data.draw(st.sets(st.integers(0, r - 1),
+                                                   min_size=1, max_size=r))))
+    lo = data.draw(st.integers(-150, 120))
+    hi = lo + data.draw(st.integers(-1, 160))
+    return A, B, lo, hi, data.draw(st.integers(1, 3))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_correlation_profile_matches_per_lag(example_family, roomy_family, vl_small, data):
+    fam = data.draw(st.sampled_from([example_family, roomy_family, vl_small]))
+    A, B, lo, hi, step = _profile_case(data, fam)
+    assert correlation_profile(A, B, lo, hi, step) == \
+        [correlation(A, B, j) for j in range(lo, hi + 1, step)]
+
+
+def test_correlation_profile_cases(example_family, vl_small):
+    fam = example_family
+    I = LevelSet.level(fam, 0, 0)
+    A = LevelSet.from_indices(fam, 1, [0, 2, 30])
+    B = LevelSet.from_ranges(fam, 2, [(5, 9), (100, 104)])
+    C = A.constrain(1, (0, 3)).constrain(2, (1, 2))
+    # the lift stage of the largest lag is not the one of the smallest
+    n0 = A.stage
+    M = [engine.minimal_valid_stage(fam, n0, A.max_index() + j) for j in range(400)]
+    boundary = next(j for j in range(1, 400) if M[j] != M[j - 1])
+    cases = [(I, I, -40, 40), (A, B, -90, 70), (B, A, -3, 0), (C, B, -60, 60),
+             (B, C, 0, 120), (A, B, boundary - 20, boundary + 20), (A, A, 5, 4)]
+    for X, Y, lo, hi in cases:
+        for step in (1, 2, 7):
+            assert correlation_profile(X, Y, lo, hi, step) == \
+                [correlation(X, Y, j) for j in range(lo, hi + 1, step)]
+    empty = LevelSet(fam, 1, ())
+    assert correlation_profile(empty, A, -2, 2) == [0] * 5
+    V = LevelSet.from_indices(vl_small, 2, [0, 3, 5])
+    assert correlation_profile(V, V, -30, 30) == \
+        [correlation(V, V, j) for j in range(-30, 31)]
+    with pytest.raises(ValueError):
+        correlation_profile(A, B, 0, 5, 0)
+
+
+def test_correlation_profile_matches_naive(roomy_family, roomy_naive):
+    rng = random.Random(17)
+    for nruns in (1, 6, 20):
+        A = LevelSet.from_ranges(roomy_family, 2, _random_runs(rng, 1600, nruns))
+        B = LevelSet.from_ranges(roomy_family, 1, _random_runs(rng, 400, 4))
+        a_idx, b_idx = set(A.indices()), set(B.indices())
+        lo, hi = -300, 300
+        got = correlation_profile(A, B, lo, hi)
+        assert got == [roomy_naive.correlation(2, a_idx, 1, b_idx, j)
+                       for j in range(lo, hi + 1)]
 
 @given(st.integers(min_value=-40, max_value=40),
        st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=4))

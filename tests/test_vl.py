@@ -1,5 +1,3 @@
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -84,20 +82,6 @@ def test_r_rules():
         r_value(PrefixR((4,)), 2)
 
 
-@contextmanager
-def _deadline(seconds):
-    """Fail instead of hanging when the body runs past ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"took longer than {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_int_nth_root_exact():
     for n in range(1, 6):
         for x in range(3000):
@@ -109,14 +93,14 @@ def test_int_nth_root_exact():
             assert _int_nth_root(root ** n - 1, n) == root - 1
 
 
-def test_int_nth_root_large_square_is_fast():
+def test_int_nth_root_large_square_is_fast(deadline):
     x = 10 ** 150 + 10 ** 140
-    with _deadline(0.5):
+    with deadline(0.5):
         assert _int_nth_root(x * x, 2) == x
 
 
-def test_power_rule_beyond_float_range():
-    with _deadline(0.5):
+def test_power_rule_beyond_float_range(deadline):
+    with deadline(0.5):
         assert r_value(PowerR(Fraction(10 ** 400), Fraction(1, 2)), 4) == 2 * 10 ** 400
         assert r_value(PowerR(Fraction(10 ** 400, 3), Fraction(1, 3)), 8) == \
             -(-2 * 10 ** 400 // 3)
