@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from itertools import product
+from operator import sub
 
 from .errors import LiftError
 
@@ -39,7 +40,8 @@ def minimal_valid_stage(family, n0: int, need: int) -> int:
         acc += family.offsets_between(M)[-1]
         M += 1
         if M - n0 > LIFT_STAGE_CAP:
-            raise LiftError(f"no valid lift stage within {LIFT_STAGE_CAP} stages")
+            raise LiftError(f"no valid lift stage within LIFT_STAGE_CAP="
+                            f"{LIFT_STAGE_CAP} stages of n0={n0} for need={need}")
     return M
 
 
@@ -80,6 +82,34 @@ def _windowed_diffs(offs_a: tuple[int, ...], offs_b: tuple[int, ...],
     return out
 
 
+def _check_cap(n_states: int, stage: int) -> None:
+    if n_states > STATE_CAP:
+        raise LiftError(f"difference-count state explosion at stage {stage}: "
+                        f"{n_states} states exceed STATE_CAP={STATE_CAP}; "
+                        "window too wide for this family")
+
+
+def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
+          ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+          ) -> dict[int, int]:
+    """One stage of the top-down walk: extend every state by the stage-i
+    offset differences b - a, keeping those that can still end in [lo, hi]
+    with the remaining reach r. ``cur`` must be nonempty."""
+    offs = family.offsets_between(i)
+    offs_a = tuple(offs[u] for u in _positions(family, i, ca))
+    offs_b = tuple(offs[v] for v in _positions(family, i, cb))
+    # viable step sizes: some state must stay within window +- remaining reach
+    diffs = _windowed_diffs(offs_a, offs_b, lo - r - max(cur), hi + r - min(cur))
+    nxt: dict[int, int] = defaultdict(int)
+    for s, ways in cur.items():
+        for d, mult in diffs.items():
+            t = s + d
+            if t + r < lo or t - r > hi:
+                continue
+            nxt[t] += ways * mult
+    return nxt
+
+
 def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
                      constraints_a: dict[int, tuple[int, ...]] | None = None,
                      constraints_b: dict[int, tuple[int, ...]] | None = None,
@@ -93,28 +123,80 @@ def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
     reach = _reach(family, n0, M)
     cur: dict[int, int] = {0: 1}
     for i in range(M - 1, n0 - 1, -1):
-        offs = family.offsets_between(i)
-        offs_a = tuple(offs[u] for u in _positions(family, i, ca))
-        offs_b = tuple(offs[v] for v in _positions(family, i, cb))
-        r = reach[i - n0]
-        s_min = min(cur)
-        s_max = max(cur)
-        # viable step sizes: some state must stay within window +- remaining reach
-        diffs = _windowed_diffs(offs_a, offs_b, lo - r - s_max, hi + r - s_min)
-        nxt: dict[int, int] = defaultdict(int)
-        for s, ways in cur.items():
-            for d, mult in diffs.items():
-                t = s + d
-                if t + r < lo or t - r > hi:
-                    continue
-                nxt[t] += ways * mult
-        cur = nxt
+        cur = _step(family, i, cur, reach[i - n0], lo, hi, ca, cb)
         if not cur:
             break
-        if len(cur) > STATE_CAP:
-            raise LiftError("difference-count state explosion; "
-                            "window too wide for this family")
+        _check_cap(len(cur), i)
     return dict(cur)
+
+
+def _partnered(cur: dict[int, int], others: list[int], a: int, b: int,
+               g_lo: int, g_hi: int) -> dict[int, int]:
+    """States s of ``cur`` with a*s - b*t in [g_lo, g_hi] for some t in the
+    sorted list ``others`` (a, b > 0): t must lie in
+    [ceil((a*s - g_hi) / b), floor((a*s - g_lo) / b)]."""
+    n = len(others)
+    if not n:
+        return {}
+    # Dense walks drop nothing: when each window meets [others[0], others[-1]]
+    # and is at least as long as the widest gap between neighbours in
+    # ``others``, it holds one of them. The windows move up with s, so the
+    # extreme states decide the first condition.
+    widest = max(map(sub, others[1:], others), default=0)
+    if (g_hi - g_lo >= b * widest and a * max(cur) - g_hi <= b * others[-1]
+            and a * min(cur) - g_lo >= b * others[0]):
+        return cur
+    out = {}
+    for s, ways in cur.items():
+        k = bisect_left(others, -((g_hi - a * s) // b))
+        if k < n and others[k] <= (a * s - g_lo) // b:
+            out[s] = ways
+    return out
+
+
+def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
+                         gap: tuple[int, int],
+                         ) -> tuple[dict[int, int], dict[int, int]]:
+    """Two :func:`pair_diff_counts` walks in lockstep, pruned by proportionality.
+
+    ``walk_p`` and ``walk_q`` are each the arguments of
+    :func:`pair_diff_counts` after the family, (n0, M, lo, hi, constraints_a,
+    constraints_b), and the result holds their final states. Each walk keeps
+    its own state set, never pairs; stage i is walked by both at once, and a
+    walk sits at its zero state above its M and keeps its states below its
+    n0. After each stage a state delta_p survives only if some state delta_q
+    of the other walk has q*delta_p - p*delta_q within q*r_p + p*r_q of
+    ``gap``, and the reverse, where r_p and r_q are what the unwalked stages
+    can still add to each delta: a pair outside that slack can never meet
+    the gap. Every pair of final deltas with q*delta_p - p*delta_q in
+    ``gap`` survives, but a survivor need not have such a partner.
+    """
+    n_p, M_p, lo_p, hi_p, ca_p, cb_p = walk_p
+    n_q, M_q, lo_q, hi_q, ca_q, cb_q = walk_q
+    g_lo, g_hi = gap
+    if lo_p > hi_p or lo_q > hi_q or g_lo > g_hi:
+        return {}, {}
+    ca_p, cb_p, ca_q, cb_q = ca_p or {}, cb_p or {}, ca_q or {}, cb_q or {}
+    reach_p = _reach(family, n_p, M_p)
+    reach_q = _reach(family, n_q, M_q)
+    cur_p: dict[int, int] = {0: 1}
+    cur_q: dict[int, int] = {0: 1}
+    for i in range(max(M_p, M_q) - 1, min(n_p, n_q) - 1, -1):
+        if n_p <= i < M_p:
+            cur_p = _step(family, i, cur_p, reach_p[i - n_p], lo_p, hi_p, ca_p, cb_p)
+            if not cur_p:
+                return {}, {}
+        if n_q <= i < M_q:
+            cur_q = _step(family, i, cur_q, reach_q[i - n_q], lo_q, hi_q, ca_q, cb_q)
+        r_p = reach_p[min(max(i, n_p), M_p) - n_p]
+        r_q = reach_q[min(max(i, n_q), M_q) - n_q]
+        slack = q * r_p + p * r_q
+        cur_p = _partnered(cur_p, sorted(cur_q), q, p, g_lo - slack, g_hi + slack)
+        cur_q = _partnered(cur_q, sorted(cur_p), p, q, -g_hi - slack, -g_lo + slack)
+        if not cur_q:
+            return {}, {}
+        _check_cap(max(len(cur_p), len(cur_q)), i)
+    return cur_p, cur_q
 
 
 def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
@@ -166,7 +248,5 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
         cur = nxt
         if not cur:
             break
-        if len(cur) > STATE_CAP:
-            raise LiftError("difference-count state explosion; "
-                            "window too wide for this family")
+        _check_cap(len(cur), i)
     return dict(cur)

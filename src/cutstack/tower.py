@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,8 +66,7 @@ class Family(ABC):
 
     Stage numbering starts at ``first_stage`` with a single unit-interval
     level. ``offsets_between(n)`` places the copies of column n inside column
-    n+1. All derived data is cached; instances are safe for concurrent reads
-    and idempotent concurrent materialization.
+    n+1. All derived data is cached.
     """
 
     kind: str = "?"
@@ -76,7 +75,6 @@ class Family(ABC):
     def __init__(self) -> None:
         self._columns: dict[int, Column] = {}
         self._widths: dict[int, Fraction] = {}
-        self._lock = threading.Lock()
 
     @abstractmethod
     def ensure(self, n: int) -> None:
@@ -132,9 +130,7 @@ class Family(ABC):
                 spacer_ranges=self.spacer_ranges_between(n - 1),
                 cuts=self.cuts_between(n - 1),
             )
-        with self._lock:
-            self._columns.setdefault(n, col)
-        return self._columns[n]
+        return self._columns.setdefault(n, col)
 
     def digest(self) -> str:
         blob = json.dumps(self.descriptor(), sort_keys=True).encode()
@@ -478,6 +474,35 @@ def triple_correlation(A: LevelSet, p: int, q: int, i: int) -> Fraction:
     return intersection_measure([A, A, A], [p * i, q * i, 0])
 
 
+def _pair_walk(A: LevelSet, B: LevelSet, lo: int, hi: int):
+    """A and B at their common stage, and the engine walk that covers the
+    lags j in [lo, hi] (0 <= lo): the arguments of
+    :func:`engine.pair_diff_counts` after the family, with the lift stage
+    valid for ``hi`` and the window of every delta = j + a - b."""
+    n0, (A0, B0) = _common_stage([A, B])
+    M = max(engine.minimal_valid_stage(A.family, n0, A0.max_index() + hi),
+            _constraint_floor([A0, B0]))
+    walk = (n0, M, lo + A0.min_index() - B0.max_index(),
+            hi + A0.max_index() - B0.min_index(),
+            _constraint_map(A0), _constraint_map(B0))
+    return A0, B0, walk
+
+
+def _delta_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> Iterator[Run]:
+    """Runs covering every lag j = delta - (a - b) in [lo, hi], for delta in
+    ``deltas``, a in A0 and b in B0 (both at the walk's base stage).
+
+    Runs come unsorted and may reach outside [lo, hi]; callers normalize and
+    clamp.
+    """
+    if not deltas:
+        return iter(())
+    # only differences a - b with delta - (a - b) in [lo, hi] for some delta
+    cd = rn.cross_difference_runs(A0.runs, B0.runs, min(deltas) - hi, max(deltas) - lo)
+    # j = delta - (a - b): reflect the cross-difference runs
+    return ((delta - (t - 1), delta - s + 1) for delta in deltas for s, t in cd)
+
+
 def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
     """All j in [lo, hi] with correlation(A, B, j) > 0, as an exact run set."""
     if lo > hi or A.is_empty() or B.is_empty():
@@ -488,18 +513,49 @@ def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
         parts.extend((-t + 1, -s + 1) for s, t in neg.runs)
     lo_nn = max(lo, 0)
     if hi >= lo_nn:
-        n0, (A0, B0) = _common_stage([A, B])
-        fam = A.family
-        M = max(engine.minimal_valid_stage(fam, n0, A0.max_index() + hi),
-                _constraint_floor([A0, B0]))
-        dlo = lo_nn + A0.min_index() - B0.max_index()
-        dhi = hi + A0.max_index() - B0.min_index()
-        dc = engine.pair_diff_counts(fam, n0, M, dlo, dhi,
-                                     _constraint_map(A0), _constraint_map(B0))
-        # only differences a - b with delta - (a - b) in [lo_nn, hi] for some delta
-        cd = (rn.cross_difference_runs(A0.runs, B0.runs, min(dc) - hi, max(dc) - lo_nn)
-              if dc else ())
-        for delta in dc:
-            # j = delta - (a - b): reflect the cross-difference runs
-            parts.extend((delta - (t - 1), delta - s + 1) for s, t in cd)
+        A0, B0, walk = _pair_walk(A, B, lo_nn, hi)
+        dc = engine.pair_diff_counts(A.family, *walk)
+        parts.extend(_delta_runs(A0, B0, dc, lo_nn, hi))
     return RunSet.of(parts).clamp(lo, hi)
+
+
+def _divide_runs(J: RunSet, step: int) -> RunSet:
+    """{i : step * i in J} as runs."""
+    out: list[Run] = []
+    for s, t in J.runs:
+        lo = -((-s) // step)
+        hi = (t - 1) // step
+        if hi >= lo:
+            out.append((lo, hi + 1))
+    return RunSet.of(out)
+
+
+def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
+                     horizon: int) -> RunSet:
+    """All 0 < i <= horizon with correlation(A, B1, p i) > 0 and
+    correlation(A, B2, q i) > 0, for p, q >= 1.
+
+    Each coordinate walks the stages :func:`return_support` would walk for
+    its lags p i or q i; :func:`engine.lockstep_diff_states` runs the two
+    walks in lockstep and prunes each with the proportionality gap:
+    p i = delta_p - x_p and q i = delta_q - x_q force
+    q delta_p - p delta_q = q x_p - p x_q, where x_p, x_q are cross
+    differences of (A, B1) and (A, B2). The supports are assembled from the
+    surviving deltas only, divided by the powers and intersected.
+    """
+    if horizon <= 0 or A.is_empty() or B1.is_empty() or B2.is_empty():
+        return RunSet(())
+    A1, C1, walk_p = _pair_walk(A, B1, p, p * horizon)
+    A2, C2, walk_q = _pair_walk(A, B2, q, q * horizon)
+    # hull of q x_p - p x_q, where x = a - b = delta - j
+    xp_lo, xp_hi = walk_p[2] - p, walk_p[3] - p * horizon
+    xq_lo, xq_hi = walk_q[2] - q, walk_q[3] - q * horizon
+    dp, dq = engine.lockstep_diff_states(
+        A.family, p, q, walk_p, walk_q,
+        (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo))
+    if not dp:
+        return RunSet(())
+    # lags outside [p, p * horizon] divide to i outside [1, horizon]
+    J1 = _divide_runs(RunSet.of(_delta_runs(A1, C1, dp, p, p * horizon)), p)
+    J2 = _divide_runs(RunSet.of(_delta_runs(A2, C2, dq, q, q * horizon)), q)
+    return J1.intersect(J2).clamp(1, horizon)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutstack.afs4 import AfsParams, ConstRule, HScaleRule, RatioCycleRule
 from cutstack.errors import CertificateError
@@ -13,7 +15,8 @@ from cutstack.products import (MEMBER, NON_MEMBER, REGIME_CONS_NOT_ERG,
                                triple_return_set)
 from cutstack.runs import RunSet
 from cutstack.synthesis import DirectionSpec, synthesize_R, synthesize_three_way
-from cutstack.tower import LevelSet, apply_power
+from cutstack.tower import (LevelSet, apply_power, decompose, return_support,
+                            triple_correlation)
 
 half = Fraction(1, 2)
 third = Fraction(1, 3)
@@ -113,6 +116,94 @@ def test_triple_return_set(roomy_family, roomy_naive):
     brute = {i for i in range(1, 61)
              if roomy_naive.triple_correlation(1, {0, 4, 9}, 1, 2, i) > 0}
     assert set(got) == brute
+
+
+def _oracle_lambda(p, q, A, horizon, targets=None):
+    """The support-intersection composition: both coordinate return supports
+    in full, then the i whose p i and q i hit them."""
+    B1, B2 = targets if targets is not None else (A, A)
+    J1 = return_support(A, B1, p, p * horizon)
+    J2 = return_support(A, B2, q, q * horizon)
+    return RunSet.from_indices(i for i in range(1, horizon + 1)
+                               if p * i in J1 and q * i in J2)
+
+
+def _lambda_case(data, fam):
+    """A (possibly letter-constrained), optional targets at their own stages,
+    powers 1..4 in either order, and a horizon that may sit near an edge
+    where a walk's lift stage changes."""
+    first = fam.first_stage
+
+    def level_set(stage):
+        h = fam.height(stage)
+        idx = data.draw(st.sets(st.integers(0, min(h, 50) - 1), min_size=1, max_size=3))
+        S = LevelSet.from_indices(fam, stage, idx)
+        if data.draw(st.booleans()):
+            t = data.draw(st.integers(stage, first + 3))
+            r = fam.cuts_between(t)
+            S = S.constrain(t, tuple(data.draw(st.sets(st.integers(0, r - 1),
+                                                       min_size=1, max_size=r - 1))))
+        return S
+
+    A = level_set(data.draw(st.integers(first, first + 2)))
+    targets = None
+    if data.draw(st.booleans()):
+        targets = tuple(level_set(data.draw(st.integers(first, first + 2)))
+                        for _ in range(2))
+    p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        horizon = data.draw(st.integers(0, 400))
+    else:
+        # about where the walk of the larger power first lifts: A's top index
+        # plus max(p, q) * horizon leaves the column of the highest stage
+        n0 = max([A.stage] + [B.stage for B in targets or ()])
+        top = decompose(A, n0).max_index()
+        edge = -((top - fam.height(n0)) // max(p, q))
+        horizon = max(0, edge + data.draw(st.integers(-15, max(edge, 0) + 15)))
+    return p, q, A, horizon, targets
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_lambda_set_matches_support_oracle(example_family, roomy_family, vl_small,
+                                           preset_family, data):
+    fam = data.draw(st.sampled_from([example_family, roomy_family, vl_small,
+                                     preset_family]))
+    p, q, A, horizon, targets = _lambda_case(data, fam)
+    assert lambda_set(fam, p, q, A, horizon, targets) == \
+        _oracle_lambda(p, q, A, horizon, targets)
+
+
+def test_lambda_set_lifts_each_coordinate_for_its_power(example_family):
+    # 2 i leaves the stage-1 column while i still fits: each coordinate's
+    # walk must start at the stage valid for its own power times the horizon
+    A = LevelSet.level(example_family, 1, 0)
+    for p, q in ((1, 2), (2, 1)):
+        lam = lambda_set(example_family, p, q, A, 100)
+        assert len(lam) == 5 and lam == _oracle_lambda(p, q, A, 100)
+
+
+def test_triple_return_set_matches_support_oracle(example_family, roomy_family):
+    def R(*idx):
+        return LevelSet.from_indices(roomy_family, 1, idx)
+
+    def E(*idx):
+        return LevelSet.from_indices(example_family, 1, idx)
+
+    # p = q, p < q, p > q; every case has candidates the refinement drops or keeps
+    cases = [(roomy_family, R(0, 4, 9), 1, 1, 100), (roomy_family, R(0, 4, 9), 1, 2, 600),
+             (roomy_family, LevelSet.from_ranges(roomy_family, 1, [(3, 12)]), 2, 3, 600),
+             (example_family, E(0, 5, 22), 1, 3, 60), (example_family, E(0, 5, 22), 2, 1, 60)]
+    for fam, A, p, q, horizon in cases:
+        expect = {i for i in _oracle_lambda(p, q, A, horizon)
+                  if triple_correlation(A, p, q, i) > 0}
+        assert set(triple_return_set(fam, p, q, A, horizon)) == expect
+
+
+def test_lambda_set_deep_horizon(preset_family, deadline):
+    A = LevelSet.level(preset_family, 4, 0)
+    with deadline(0.5):
+        assert lambda_set(preset_family, 1, 2, A, preset_family.marker(14) // 2).is_empty()
 
 
 def test_k_table_covers_lambda_window(preset_family, wmin_family):

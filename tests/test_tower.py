@@ -86,6 +86,22 @@ def test_apply_power_bottom_negative_raises(example_family):
         apply_power(bottom, -1)
 
 
+def test_cap_messages_name_stage_and_size(example_family, monkeypatch):
+    from cutstack.products import lambda_set
+    A = LevelSet.from_indices(example_family, 1, [0, 5, 22])
+    monkeypatch.setattr(engine, "STATE_CAP", 3)
+    explosion = r"state explosion at stage \d+: \d+ states exceed STATE_CAP=3"
+    with pytest.raises(LiftError, match=explosion):  # pair_diff_counts
+        return_support(A, A, 0, 3000)
+    with pytest.raises(LiftError, match=explosion):  # multi_diff_counts
+        triple_correlation(A, 1, 2, 900)
+    with pytest.raises(LiftError, match=explosion):  # the lockstep walk
+        lambda_set(example_family, 1, 1, A, 3000)
+    monkeypatch.setattr(engine, "LIFT_STAGE_CAP", 2)
+    with pytest.raises(LiftError, match=r"LIFT_STAGE_CAP=2 stages of n0=1 for need=10000"):
+        engine.minimal_valid_stage(example_family, 1, 10_000)
+
+
 def test_correlation_frozen_values(example_family):
     I = LevelSet.level(example_family, 0, 0)
     expected = {0: Fraction(1), 1: Fraction(0), 4: Fraction(1, 4),
