@@ -97,7 +97,10 @@ def rule_from_json(obj: dict) -> Rule:
     if kind == "w_minimal":
         return WMinimalRule()
     if kind == "ratio_cycle":
-        return RatioCycleRule(tuple(parse_rational(s) for s in obj["ratios"]))
+        rule = RatioCycleRule(tuple(parse_rational(s) for s in obj["ratios"]))
+        if not rule.ratios or min(rule.ratios) <= 0:
+            raise ValueError("ratio_cycle needs a nonempty list of positive ratios")
+        return rule
     raise UnsupportedRule(f"unknown rule kind {kind!r}")
 
 
@@ -136,6 +139,7 @@ class AfsParams(Family):
         self._H = [1]
         self._h = [1]
         self._stages: list[StageParams] = []
+        self._offs: list[tuple[int, ...]] = []
 
     # -- materialization -----------------------------------------------------
 
@@ -196,6 +200,7 @@ class AfsParams(Family):
             k = len(self._stages)
             sp = self._stage_params(k)
             self._stages.append(sp)
+            self._offs.append((0, sp.p, sp.p + sp.ell, sp.p + sp.ell + sp.q))
             self._h.append(sp.p + sp.ell + sp.q + self._H[k])
             self._H.append(sp.p + sp.ell + sp.q + sp.m)
 
@@ -222,8 +227,8 @@ class AfsParams(Family):
         return 4
 
     def offsets_between(self, n: int) -> tuple[int, ...]:
-        sp = self.params(n)
-        return (0, sp.p, sp.p + sp.ell, sp.p + sp.ell + sp.q)
+        self.ensure(n + 1)
+        return self._offs[n]
 
     def spacer_ranges_between(self, n: int) -> tuple[Run, ...]:
         sp = self.params(n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from math import prod
 from pathlib import Path
 
@@ -138,6 +139,14 @@ def _parse_level_set(family, flag: str, text: str) -> LevelSet:
     return LevelSet.from_ranges(family, stage, ranges)
 
 
+def _parse_range(text: str) -> tuple[int, int]:
+    try:
+        lo_s, hi_s = text.split("..")
+        return int(lo_s), int(hi_s)
+    except ValueError:
+        raise ValueError(f"--range {text!r}: expected a..b with integers a and b") from None
+
+
 def cmd_correlate(args) -> int:
     family = load_family(args.family)
     sets = [_parse_level_set(family, "--set", s) for s in args.set]
@@ -148,12 +157,7 @@ def cmd_correlate(args) -> int:
         raise CutstackError("need matching --set/--target/--powers arities")
     if 0 in powers:
         raise ValueError("powers must be nonzero")
-    try:
-        lo_s, hi_s = args.range.split("..")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise ValueError(f"--range {args.range!r}: expected a..b with integers a and b") \
-            from None
+    lo, hi = _parse_range(args.range)
     if hi - lo + 1 > args.max_rows:
         raise CutstackError(f"range wider than {args.max_rows} rows; "
                             "narrow it or raise --max-rows")
@@ -255,9 +259,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parsing leaves no state in it, and
+    building it costs about as much as a typical command."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CertificateError as exc:

@@ -13,14 +13,23 @@ remaining lower stages the branch is dead; in practice a handful of states
 survive per stage, which is what makes shifts of size 10^30 and more exact
 and cheap. Per-stage "allowed position" maps restrict a side to chosen
 subcolumn copies (used for intersections with whole subcolumn unions).
+
+What a walk reads at a stage depends only on the family and the stage, so
+it lives in the family's stage table (:class:`cutstack.tower.Family`), which
+the walks fill lazily: for each (stage, allowed positions or none) the
+sorted offsets of those copies, and the prefix sums of the top offsets, from
+which the reach of the stages still to walk and the lift stage are read by
+subtraction. A stage then costs what its surviving states and the offset
+pairs inside the window cost: each offset finds its partners by bisection,
+and no table of all offset differences is built (quadratic in the cut
+count, which reaches the thousands on geometric vector families).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 from .errors import LiftError
 
@@ -35,51 +44,14 @@ def minimal_valid_stage(family, n0: int, need: int) -> int:
     ``need`` is max(base index + shift) over the operands; lifting adds the
     top embed offset of each crossed stage to all indices.
     """
-    M, acc = n0, 0
-    while acc + need > family.height(M) - 1:
-        acc += family.offsets_between(M)[-1]
+    M = n0
+    base = family._top_sums_to(n0)[n0]
+    while family._top_sums_to(M)[M] - base + need > family.height(M) - 1:
         M += 1
         if M - n0 > LIFT_STAGE_CAP:
             raise LiftError(f"no valid lift stage within LIFT_STAGE_CAP="
                             f"{LIFT_STAGE_CAP} stages of n0={n0} for need={need}")
     return M
-
-
-def _reach(family, n0: int, M: int) -> list[int]:
-    """reach[i - n0] = max |pos difference| achievable by stages n0..i-1."""
-    out = [0]
-    for t in range(n0, M):
-        out.append(out[-1] + family.offsets_between(t)[-1])
-    return out
-
-
-def _positions(family, t: int, constraints: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    allowed = constraints.get(t)
-    if allowed is None:
-        return tuple(range(family.cuts_between(t)))
-    return allowed
-
-
-def _windowed_diffs(offs_a: tuple[int, ...], offs_b: tuple[int, ...],
-                    d_lo: int, d_hi: int) -> Counter[int]:
-    """Multiset of differences b - a restricted to [d_lo, d_hi].
-
-    Offsets are sorted, so for each a the admissible b form a contiguous
-    block; this keeps huge cut counts cheap when the window only reaches a
-    few alignments (the usual case at high stages).
-    """
-    out: Counter[int] = Counter()
-    j_lo = j_hi = 0
-    m = len(offs_b)
-    for a in offs_a:
-        while j_lo < m and offs_b[j_lo] < a + d_lo:
-            j_lo += 1
-        j_hi = max(j_hi, j_lo)
-        while j_hi < m and offs_b[j_hi] <= a + d_hi:
-            j_hi += 1
-        for k in range(j_lo, j_hi):
-            out[offs_b[k] - a] += 1
-    return out
 
 
 def _check_cap(n_states: int, stage: int) -> None:
@@ -95,18 +67,24 @@ def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
     """One stage of the top-down walk: extend every state by the stage-i
     offset differences b - a, keeping those that can still end in [lo, hi]
     with the remaining reach r. ``cur`` must be nonempty."""
-    offs = family.offsets_between(i)
-    offs_a = tuple(offs[u] for u in _positions(family, i, ca))
-    offs_b = tuple(offs[v] for v in _positions(family, i, cb))
-    # viable step sizes: some state must stay within window +- remaining reach
-    diffs = _windowed_diffs(offs_a, offs_b, lo - r - max(cur), hi + r - min(cur))
-    nxt: dict[int, int] = defaultdict(int)
+    offs_a = family._stage_offsets(i, ca.get(i))
+    offs_b = family._stage_offsets(i, cb.get(i))
+    t_lo, t_hi = lo - r, hi + r
+    # viable step sizes: some state must stay within window +- remaining reach;
+    # offsets are sorted, so the partners b of each a form one contiguous block
+    d_lo, d_hi = t_lo - max(cur), t_hi - min(cur)
+    diffs: dict[int, int] = {}
+    for a in offs_a:
+        j = bisect_left(offs_b, a + d_lo)
+        for b in offs_b[j:bisect_right(offs_b, a + d_hi, j)]:
+            d = b - a
+            diffs[d] = diffs.get(d, 0) + 1
+    nxt: dict[int, int] = {}
     for s, ways in cur.items():
         for d, mult in diffs.items():
             t = s + d
-            if t + r < lo or t - r > hi:
-                continue
-            nxt[t] += ways * mult
+            if t_lo <= t <= t_hi:
+                nxt[t] = nxt.get(t, 0) + ways * mult
     return nxt
 
 
@@ -120,14 +98,15 @@ def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
         return {}
     ca = constraints_a or {}
     cb = constraints_b or {}
-    reach = _reach(family, n0, M)
+    top = family._top_sums_to(M)
+    base = top[n0]
     cur: dict[int, int] = {0: 1}
     for i in range(M - 1, n0 - 1, -1):
-        cur = _step(family, i, cur, reach[i - n0], lo, hi, ca, cb)
+        cur = _step(family, i, cur, top[i] - base, lo, hi, ca, cb)
         if not cur:
             break
         _check_cap(len(cur), i)
-    return dict(cur)
+    return cur
 
 
 def _partnered(cur: dict[int, int], others: list[int], a: int, b: int,
@@ -177,19 +156,19 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     if lo_p > hi_p or lo_q > hi_q or g_lo > g_hi:
         return {}, {}
     ca_p, cb_p, ca_q, cb_q = ca_p or {}, cb_p or {}, ca_q or {}, cb_q or {}
-    reach_p = _reach(family, n_p, M_p)
-    reach_q = _reach(family, n_q, M_q)
+    top = family._top_sums_to(max(M_p, M_q))
+    base_p, base_q = top[n_p], top[n_q]
     cur_p: dict[int, int] = {0: 1}
     cur_q: dict[int, int] = {0: 1}
     for i in range(max(M_p, M_q) - 1, min(n_p, n_q) - 1, -1):
         if n_p <= i < M_p:
-            cur_p = _step(family, i, cur_p, reach_p[i - n_p], lo_p, hi_p, ca_p, cb_p)
+            cur_p = _step(family, i, cur_p, top[i] - base_p, lo_p, hi_p, ca_p, cb_p)
             if not cur_p:
                 return {}, {}
         if n_q <= i < M_q:
-            cur_q = _step(family, i, cur_q, reach_q[i - n_q], lo_q, hi_q, ca_q, cb_q)
-        r_p = reach_p[min(max(i, n_p), M_p) - n_p]
-        r_q = reach_q[min(max(i, n_q), M_q) - n_q]
+            cur_q = _step(family, i, cur_q, top[i] - base_q, lo_q, hi_q, ca_q, cb_q)
+        r_p = top[min(max(i, n_p), M_p)] - base_p
+        r_q = top[min(max(i, n_q), M_q)] - base_q
         slack = q * r_p + p * r_q
         cur_p = _partnered(cur_p, sorted(cur_q), q, p, g_lo - slack, g_hi + slack)
         cur_q = _partnered(cur_q, sorted(cur_p), p, q, -g_hi - slack, -g_lo + slack)
@@ -210,43 +189,41 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
     if any(lo > hi for lo, hi in boxes):
         return {}
     cons = [c or {} for c in constraints]
-    reach = _reach(family, n0, M)
+    top = family._top_sums_to(M)
+    base = top[n0]
     cur: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
     for i in range(M - 1, n0 - 1, -1):
-        offs = family.offsets_between(i)
-        pos_sets = [_positions(family, i, c) for c in cons]
-        base_offs = tuple(offs[u] for u in pos_sets[0])
-        side_offs = [tuple(offs[u] for u in pos_sets[t]) for t in range(1, k)]
-        r = reach[i - n0]
-        mins = [min(s[t] for s in cur) for t in range(k - 1)]
-        maxs = [max(s[t] for s in cur) for t in range(k - 1)]
+        base_offs = family._stage_offsets(i, cons[0].get(i))
+        side_offs = [family._stage_offsets(i, c.get(i)) for c in cons[1:]]
+        r = top[i] - base
+        # states that can still end in the boxes with the remaining reach r
+        bounds = [(lo - r, hi + r) for lo, hi in boxes]
         # per-dimension viable step windows given the surviving states
-        windows = [(boxes[t][0] - r - maxs[t], boxes[t][1] + r - mins[t])
-                   for t in range(k - 1)]
-        diffs: Counter[tuple[int, ...]] = Counter()
-        for base in base_offs:
-            slices = []
-            for t in range(k - 1):
-                lo_t = bisect_left(side_offs[t], base + windows[t][0])
-                hi_t = bisect_right(side_offs[t], base + windows[t][1])
-                slices.append(side_offs[t][lo_t:hi_t])
-            if any(not s for s in slices):
-                continue
-            for combo in product(*slices):
-                diffs[tuple(o - base for o in combo)] += 1
-        nxt: dict[tuple[int, ...], int] = defaultdict(int)
+        windows = [(t_lo - max(col), t_hi - min(col))
+                   for (t_lo, t_hi), col in zip(bounds, zip(*cur))]
+        diffs: dict[tuple[int, ...], int] = {}
+        for a in base_offs:
+            blocks = []
+            for offs, (w_lo, w_hi) in zip(side_offs, windows):
+                j = bisect_left(offs, a + w_lo)
+                block = [o - a for o in offs[j:bisect_right(offs, a + w_hi, j)]]
+                if not block:
+                    break
+                blocks.append(block)
+            else:
+                for dvec in product(*blocks):
+                    diffs[dvec] = diffs.get(dvec, 0) + 1
+        nxt: dict[tuple[int, ...], int] = {}
         for state, ways in cur.items():
             for dvec, mult in diffs.items():
-                new = tuple(s + d for s, d in zip(state, dvec))
-                ok = True
-                for (lo, hi), t in zip(boxes, new):
-                    if t + r < lo or t - r > hi:
-                        ok = False
+                new = tuple(map(add, state, dvec))
+                for (t_lo, t_hi), t in zip(bounds, new):
+                    if not t_lo <= t <= t_hi:
                         break
-                if ok:
-                    nxt[new] += ways * mult
+                else:
+                    nxt[new] = nxt.get(new, 0) + ways * mult
         cur = nxt
         if not cur:
             break
         _check_cap(len(cur), i)
-    return dict(cur)
+    return cur

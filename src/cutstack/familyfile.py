@@ -49,7 +49,7 @@ def _field(doc: dict, key: str, parse, default=_REQUIRED, where: str = ""):
         return parse(value)
     except KeyError as exc:
         raise SchemaError(f"field {name!r}: missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"field {name!r}: {exc}") from exc
 
 

@@ -67,6 +67,12 @@ class Family(ABC):
     Stage numbering starts at ``first_stage`` with a single unit-interval
     level. ``offsets_between(n)`` places the copies of column n inside column
     n+1. All derived data is cached.
+
+    The engine's walks read their per-stage inputs from a stage table that
+    the walks fill lazily: the offsets each walk selects at a stage, and the
+    prefix sums of the top offsets. Stage data never changes once
+    materialized, so two fills of one entry write the same value (as for the
+    column cache).
     """
 
     kind: str = "?"
@@ -75,6 +81,10 @@ class Family(ABC):
     def __init__(self) -> None:
         self._columns: dict[int, Column] = {}
         self._widths: dict[int, Fraction] = {}
+        # (stage, allowed positions or None) -> offsets of those copies
+        self._selected: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...]] = {}
+        # stage n -> sum of the top offsets of stages first_stage..n-1
+        self._top_sums: dict[int, int] = {self.first_stage: 0}
 
     @abstractmethod
     def ensure(self, n: int) -> None:
@@ -99,6 +109,11 @@ class Family(ABC):
     @abstractmethod
     def descriptor(self) -> dict:
         """JSON-serializable description sufficient to rebuild the family."""
+
+    @abstractmethod
+    def height_profile(self, up_to: int) -> list:
+        """Exact heights of stages first_stage..up_to; families with an
+        internal marker give (height, marker) pairs."""
 
     def accumulation_ratios(self) -> set[Fraction] | None:
         """Declared accumulation set of p_n/q_n for rule-complete families."""
@@ -132,6 +147,32 @@ class Family(ABC):
             )
         return self._columns.setdefault(n, col)
 
+    def _stage_offsets(self, n: int, positions: tuple[int, ...] | None) -> tuple[int, ...]:
+        """Offsets of the copies at ``positions`` (all copies for None) of
+        column n inside column n+1, in position order."""
+        offs = self._selected.get((n, positions))
+        if offs is None:
+            offs = self.offsets_between(n)
+            if positions is not None:
+                offs = tuple(offs[u] for u in positions)
+            offs = self._selected.setdefault((n, positions), offs)
+        return offs
+
+    def _top_sums_to(self, n: int) -> dict[int, int]:
+        """The top-offset prefix sums, filled through stage n: entry t is the
+        most that stages first_stage..t-1 add to a position, so the stages
+        n0..t-1 add at most entry t minus entry n0."""
+        sums = self._top_sums
+        if n not in sums:
+            if n < self.first_stage:
+                raise SchemaError("stage below base", stage=n)
+            filled = n
+            while filled not in sums:  # entries are contiguous from first_stage
+                filled -= 1
+            for t in range(filled, n):
+                sums.setdefault(t + 1, sums[t] + self.offsets_between(t)[-1])
+        return sums
+
     def digest(self) -> str:
         blob = json.dumps(self.descriptor(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -148,10 +189,7 @@ def build_column(family: Family, n: int) -> Column:
 def heights(family: Family, up_to: int):
     """Exact height sequence; families with an internal marker return pairs."""
     family.ensure(up_to)
-    profile = getattr(family, "height_profile", None)
-    if profile is not None:
-        return profile(up_to)
-    return [family.height(n) for n in range(family.first_stage, up_to + 1)]
+    return family.height_profile(up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +213,8 @@ class LevelSet:
     letter_constraints: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.stage < self.family.first_stage:
+            raise SchemaError("stage below base", stage=self.stage)
         self.family.ensure(self.stage)
         h = self.family.height(self.stage)
         if self.runs and (self.runs[0][0] < 0 or self.runs[-1][1] > h):

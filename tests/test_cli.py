@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutstack import cli
 from cutstack.cli import main
 from cutstack.familyfile import (family_from_json, family_to_json, load_family,
                                  save_family)
@@ -121,6 +122,27 @@ def test_seed_flag_is_gone(example_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "1", "build", example_file, "--stage", "1"])
     assert exc.value.code == 2
+
+
+def test_reused_parser_answers_like_a_fresh_one(example_file, capsys):
+    argvs = [["build", example_file, "--stage", "x"],
+             ["classify", example_file, "--ratio", "1/2"],
+             ["build", example_file, "--stage", "2"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    reused = [run(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in reused] == [2, 5, 0]
+    assert reused == fresh
 
 
 def test_synthesize_and_classify(tmp_path, capsys):
