@@ -175,25 +175,23 @@ class AfsParams(Family):
         return v
 
     def _stage_params(self, n: int) -> StageParams:
+        p = self._H[n] + self._eval_rule("a", n)
+        return self._stage_tail(n, p, self._H[n] + self._eval_rule("c", n, p_n=p))
+
+    def _stage_tail(self, n: int, p: int, q: int) -> StageParams:
+        """Stage n's parameters once p_n and q_n are chosen: ell_n and m_n
+        from the b and d rules (W-minimal or evaluated)."""
         H, h = self._H[n], self._h[n]
-        a = self._eval_rule("a", n)
-        p = H + a
-        c = self._eval_rule("c", n, p_n=p)
-        q = H + c
         if isinstance(self.rules["b"], WMinimalRule):
             ell = max(H, n * (p + q + 2 * h) + 1)
-            b = ell - H
         else:
-            b = self._eval_rule("b", n)
-            ell = H + b
+            ell = H + self._eval_rule("b", n)
         h_next = p + ell + q + H
         if isinstance(self.rules["d"], WMinimalRule):
             m = max(H, n * h_next + 1)
-            d = m - H
         else:
-            d = self._eval_rule("d", n)
-            m = H + d
-        return StageParams(a, b, c, d, p, ell, q, m)
+            m = H + self._eval_rule("d", n)
+        return StageParams(p - H, ell - H, q - H, m - H, p, ell, q, m)
 
     def ensure(self, n: int) -> None:
         while len(self._stages) < n:

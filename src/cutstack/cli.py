@@ -4,7 +4,8 @@ Subcommands: build, synthesize, classify, correlate, witness. Family files
 in, deterministic reports and CSV out. Exit codes: 0 success (for classify:
 ergodic), 2 parse/validation/precondition errors, and for classify the
 regime encoding 0 / 3 / 4 / 5 (ergodic / conservative-not-ergodic /
-not-conservative / unknown-at-horizon); re-check failures exit 1.
+not-conservative / unknown-at-horizon); certificate re-check failures, and
+a witness with a violating lag (RESULT=fail), exit 1.
 """
 
 from __future__ import annotations

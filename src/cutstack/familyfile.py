@@ -132,7 +132,6 @@ class Report:
         if family is not None:
             self.add("family.kind", family.kind)
             self.add("family.digest", family.digest())
-        self.result: str | None = None
 
     def add(self, key: str, value) -> None:
         if isinstance(value, Fraction):
@@ -140,7 +139,6 @@ class Report:
         self.lines.append(f"{key}={value}")
 
     def finish(self, result: str) -> str:
-        self.result = result
         return "\n".join(self.lines + [f"RESULT={result}"]) + "\n"
 
 

@@ -24,7 +24,8 @@ from .synthesis import (SynthesisTrace, SynthesizedParams, block_partition,
                         schedule_round)
 # return_support is no longer called here but stays bound by this name:
 # perfbench/test_perfbench.py checks that the tracer patches it here
-from .tower import LevelSet, joint_return_set, return_support  # noqa: F401
+from .tower import (LevelSet, joint_return_set, return_support,  # noqa: F401
+                    triple_correlation)
 
 REGIME_ERGODIC = "ergodic"
 REGIME_CONS_NOT_ERG = "conservative-not-ergodic"
@@ -148,8 +149,6 @@ def triple_return_set(family, p: int, q: int, A: LevelSet, horizon: int,
     its surviving states, so emptiness conclusions are cheap at any horizon;
     the refinement costs one intersection walk per candidate.
     """
-    from .tower import triple_correlation
-
     candidates = lambda_set(family, p, q, A, horizon)
     if candidates.is_empty():
         return candidates

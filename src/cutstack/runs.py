@@ -189,9 +189,3 @@ class RunSet:
     def clamp(self, lo: int, hi: int) -> "RunSet":
         """Restrict to the inclusive window [lo, hi]."""
         return RunSet(intersect(self.runs, ((lo, hi + 1),)))
-
-    def to_set(self, cap: int = 1_000_000) -> set[int]:
-        n = len(self)
-        if n > cap:
-            raise ValueError(f"materializing {n} integers exceeds cap {cap}")
-        return set(self)

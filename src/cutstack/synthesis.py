@@ -53,6 +53,16 @@ def block_position(n: int) -> tuple[int, int]:
     return i, (n + 1) // 2
 
 
+def _schedule_slot(j: int) -> tuple[int, int]:
+    """(round m, position within round m) of visit j; round m has
+    (m+1)(m+2)/2 entries."""
+    m, pos = 1, j
+    while pos > (m + 1) * (m + 2) // 2:
+        pos -= (m + 1) * (m + 2) // 2
+        m += 1
+    return m, pos
+
+
 def pair_schedule(j: int) -> tuple[int, int]:
     """Offset pair (k, l) carried by the j-th visit.
 
@@ -64,13 +74,7 @@ def pair_schedule(j: int) -> tuple[int, int]:
     """
     if j < 1:
         raise ValueError("schedule starts at 1")
-    m, pos = 1, j
-    while True:
-        size = (m + 1) * (m + 2) // 2
-        if pos <= size:
-            break
-        pos -= size
-        m += 1
+    _, pos = _schedule_slot(j)
     s = 0
     while pos > s + 1:
         pos -= s + 1
@@ -84,13 +88,7 @@ SECOND_ROUND_COVER = 34  # end of round 4; see pair_schedule
 
 def schedule_round(j: int) -> int:
     """Round number containing visit j (bounds k + l for that visit)."""
-    m, pos = 1, j
-    while True:
-        size = (m + 1) * (m + 2) // 2
-        if pos <= size:
-            return m
-        pos -= size
-        m += 1
+    return _schedule_slot(j)[0]
 
 
 def separation(R: list[Fraction], S: list[Fraction], i: int, j: int,
@@ -266,41 +264,32 @@ class SynthesizedParams(AfsParams):
         self.trace = SynthesisTrace(spec)
 
     def _stage_params(self, n: int) -> StageParams:
+        i, j = block_position(n) if n >= 1 else (0, 0)
+        if not 1 <= i <= len(self.spec.ratios):
+            # unclaimed stages follow the preset rules given to AfsParams
+            sp = super()._stage_params(n)
+            self.trace.rows.append(TraceRow(n=n, mode="preset", p_n=sp.p, q_n=sp.q))
+            return sp
         H, h = self._H[n], self._h[n]
-        claimed = False
-        if n >= 1:
-            i, j = block_position(n)
-            claimed = i <= len(self.spec.ratios)
-        if not claimed:
-            a = 3 * h
-            p = H + a
-            q = p + 1
-            c = q - H
-            row = TraceRow(n=n, mode="preset", p_n=p, q_n=q)
+        target = self.spec.ratios[i - 1]
+        P, Q = target.numerator, target.denominator
+        if self.mode == "three-way" and target not in self.spec.r1:
+            k = l = 0
+            mode = "exact"
         else:
-            target = self.spec.ratios[i - 1]
-            P, Q = target.numerator, target.denominator
-            if self.mode == "three-way" and target not in self.spec.r1:
-                k = l = 0
-                mode = "exact"
-            else:
-                k, l = pair_schedule(j)
-                mode = "ergodic"
-            delta = separation(list(self.spec.ratios), list(self.spec.complement),
-                               i, j, self.spec.complement_complete)
-            t = solve_minimal_t(H, h, n, P, Q, j, k, l, delta)
-            p = t * j * P - k
-            q = t * j * Q - l
-            a, c = p - H, q - H
-            if a < 0 or c < 0:
-                raise SchemaError("synthesized spacer count negative", stage=n)
-            row = TraceRow(n=n, mode=mode, i=i, j=j, k=k, l=l, target=target,
-                           delta=delta, t=t, p_n=p, q_n=q)
-        ell = max(H, n * (p + q + 2 * h) + 1)
-        h_next = p + ell + q + H
-        m = max(H, n * h_next + 1)
-        self.trace.rows.append(row)
-        return StageParams(a, ell - H, c, m - H, p, ell, q, m)
+            k, l = pair_schedule(j)
+            mode = "ergodic"
+        delta = separation(list(self.spec.ratios), list(self.spec.complement),
+                           i, j, self.spec.complement_complete)
+        t = solve_minimal_t(H, h, n, P, Q, j, k, l, delta)
+        p = t * j * P - k
+        q = t * j * Q - l
+        if p < H or q < H:
+            raise SchemaError("synthesized spacer count negative", stage=n)
+        self.trace.rows.append(TraceRow(n=n, mode=mode, i=i, j=j, k=k, l=l,
+                                        target=target, delta=delta, t=t,
+                                        p_n=p, q_n=q))
+        return self._stage_tail(n, p, q)
 
     def descriptor(self) -> dict:
         return {

@@ -215,6 +215,12 @@ class LevelSet:
     def __post_init__(self) -> None:
         if self.stage < self.family.first_stage:
             raise SchemaError("stage below base", stage=self.stage)
+        # heights grow at least geometrically per stage, so materializing a
+        # column far above the base runs out of memory; the lift cap bounds it
+        if self.stage - self.family.first_stage > engine.LIFT_STAGE_CAP:
+            raise SchemaError(f"more than LIFT_STAGE_CAP={engine.LIFT_STAGE_CAP} "
+                              f"stages above the first stage {self.family.first_stage}",
+                              stage=self.stage)
         self.family.ensure(self.stage)
         h = self.family.height(self.stage)
         if self.runs and (self.runs[0][0] < 0 or self.runs[-1][1] > h):
@@ -271,24 +277,6 @@ class LevelSet:
 
     def measure(self) -> Fraction:
         return self.count() * self.family.level_width(self.stage) * self.constraint_fraction()
-
-    # -- same-stage set algebra (constraint-free) ----------------------------
-
-    def _plain(self, other: "LevelSet") -> None:
-        if self.family is not other.family:
-            raise ValueError("level sets belong to different families")
-        if self.stage != other.stage:
-            raise ValueError("level sets at different stages; lift first")
-        if self.letter_constraints or other.letter_constraints:
-            raise ValueError("set algebra on constrained sets is not supported")
-
-    def intersect(self, other: "LevelSet") -> "LevelSet":
-        self._plain(other)
-        return LevelSet(self.family, self.stage, rn.intersect(self.runs, other.runs))
-
-    def union(self, other: "LevelSet") -> "LevelSet":
-        self._plain(other)
-        return LevelSet(self.family, self.stage, rn.union(self.runs, other.runs))
 
     def constrain(self, stage: int, positions: tuple[int, ...]) -> "LevelSet":
         """Keep only the given subcolumn copies at the stage->stage+1 transition."""
@@ -358,10 +346,6 @@ def _common_stage(sets: list[LevelSet]) -> tuple[int, list[LevelSet]]:
     return n0, [decompose(s, n0) if s.stage < n0 else s for s in sets]
 
 
-def _constraint_map(A: LevelSet) -> dict[int, tuple[int, ...]]:
-    return dict(A.letter_constraints)
-
-
 def _constraint_floor(sets: list[LevelSet]) -> int:
     """Smallest lift stage whose word range covers every constrained transition."""
     floor = 0
@@ -371,26 +355,35 @@ def _constraint_floor(sets: list[LevelSet]) -> int:
     return floor
 
 
+def _pair_walk(A: LevelSet, B: LevelSet, lo: int, hi: int):
+    """A and B at their common stage, and the engine walk that covers the
+    lags j in [lo, hi] (0 <= lo): the arguments of
+    :func:`engine.pair_diff_counts` after the family, with the lift stage
+    valid for ``hi`` and the window of every delta = j + a - b."""
+    n0, (A0, B0) = _common_stage([A, B])
+    M = max(engine.minimal_valid_stage(A.family, n0, A0.max_index() + hi),
+            _constraint_floor([A0, B0]))
+    walk = (n0, M, lo + A0.min_index() - B0.max_index(),
+            hi + A0.max_index() - B0.min_index(),
+            dict(A0.letter_constraints), dict(B0.letter_constraints))
+    return A0, B0, walk
+
+
 def correlation(A: LevelSet, B: LevelSet, j: int) -> Fraction:
     """Exact measure of T^j A intersected with B."""
     if A.is_empty() or B.is_empty():
         return Fraction(0)
     if j < 0:
         return correlation(B, A, -j)
-    n0, (A0, B0) = _common_stage([A, B])
     fam = A.family
-    M = max(engine.minimal_valid_stage(fam, n0, A0.max_index() + j),
-            _constraint_floor([A0, B0]))
-    lo = j + A0.min_index() - B0.max_index()
-    hi = j + A0.max_index() - B0.min_index()
-    dc = engine.pair_diff_counts(fam, n0, M, lo, hi,
-                                 _constraint_map(A0), _constraint_map(B0))
+    A0, B0, walk = _pair_walk(A, B, j, j)
+    dc = engine.pair_diff_counts(fam, *walk)
     hits = 0
     for delta, ways in dc.items():
         cross = rn.cross_difference_count(A0.runs, B0.runs, delta - j)
         if cross:
             hits += ways * cross
-    return hits * fam.level_width(M) if hits else Fraction(0)
+    return hits * fam.level_width(walk[1]) if hits else Fraction(0)
 
 
 _ZERO = Fraction(0)
@@ -422,16 +415,12 @@ def correlation_profile(A: LevelSet, B: LevelSet, lo: int, hi: int,
 
 
 def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
-    n0, (A0, B0) = _common_stage([A, B])
     fam = A.family
     first, last, step = lags[0], lags[-1], lags.step
-    M = max(engine.minimal_valid_stage(fam, n0, A0.max_index() + last),
-            _constraint_floor([A0, B0]))
+    A0, B0, walk = _pair_walk(A, B, first, last)
+    dc = engine.pair_diff_counts(fam, *walk)
     # delta - j is a difference a - b of A0 and B0 indices
-    x_lo = A0.min_index() - B0.max_index()
-    x_hi = A0.max_index() - B0.min_index()
-    dc = engine.pair_diff_counts(fam, n0, M, first + x_lo, last + x_hi,
-                                 _constraint_map(A0), _constraint_map(B0))
+    x_lo, x_hi = walk[2] - first, walk[3] - last
     # counts per difference, memoised sparsely: a dense array over the span of
     # the sets' differences would be huge for wide level sets
     cross: dict[int, int] = {}
@@ -446,7 +435,7 @@ def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
                 c = cross[x] = rn.cross_difference_count(A0.runs, B0.runs, x)
             if c:
                 hits[(j - first) // step] += ways * c
-    width = fam.level_width(M)
+    width = fam.level_width(walk[1])
     return [h * width if h else _ZERO for h in hits]
 
 
@@ -492,7 +481,7 @@ def intersection_measure(sets: list[LevelSet], shifts: list[int]) -> Fraction:
         boxes.append((j0 - jt + a0.min_index() - at.max_index(),
                       j0 - jt + a0.max_index() - at.min_index()))
     dc = engine.multi_diff_counts(fam, n0, M, boxes,
-                                  [_constraint_map(s) for s in lifted])
+                                  [dict(s.letter_constraints) for s in lifted])
     hits = 0
     for deltas, ways in dc.items():
         cur = a0.runs
@@ -512,20 +501,6 @@ def triple_correlation(A: LevelSet, p: int, q: int, i: int) -> Fraction:
     if i == 0:
         return A.measure()
     return intersection_measure([A, A, A], [p * i, q * i, 0])
-
-
-def _pair_walk(A: LevelSet, B: LevelSet, lo: int, hi: int):
-    """A and B at their common stage, and the engine walk that covers the
-    lags j in [lo, hi] (0 <= lo): the arguments of
-    :func:`engine.pair_diff_counts` after the family, with the lift stage
-    valid for ``hi`` and the window of every delta = j + a - b."""
-    n0, (A0, B0) = _common_stage([A, B])
-    M = max(engine.minimal_valid_stage(A.family, n0, A0.max_index() + hi),
-            _constraint_floor([A0, B0]))
-    walk = (n0, M, lo + A0.min_index() - B0.max_index(),
-            hi + A0.max_index() - B0.min_index(),
-            _constraint_map(A0), _constraint_map(B0))
-    return A0, B0, walk
 
 
 def _delta_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> Iterator[Run]:

@@ -23,8 +23,9 @@ from itertools import combinations
 from .errors import SchemaError, UnsupportedRule
 from .measure import format_rational
 from .runs import Run
+from .synthesis import block_partition, block_position
 from .tower import (Family, LevelSet, correlation, intersection_measure,
-                    return_support)
+                    product_correlation, return_support)
 
 # ---------------------------------------------------------------------------
 # Vector enumeration (sum first, then lexicographic)
@@ -76,13 +77,8 @@ def vector_index(L: int, v: tuple[int, ...]) -> int:
 
 def s_index(n: int) -> tuple[int, int]:
     """(j, i) with n = 2^(j-1) + i 2^j; the vector slot and visit count."""
-    if n < 1:
-        raise ValueError("stages start at 1")
-    j = 1
-    while n % 2 == 0:
-        n //= 2
-        j += 1
-    return j, (n - 1) // 2
+    j, visit = block_position(n)
+    return j, visit - 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +392,7 @@ def t_times(fam: VlFamily, n: int, j: int, i: int) -> int:
     """The i-th designated mixing time 2 h_l with l = 2^(j-1) + (i + n) 2^j."""
     if min(n, j, i) < 1:
         raise ValueError("n, j, i start at 1")
-    stage = (1 << (j - 1)) + (i + n) * (1 << j)
-    return 2 * fam.height(stage)
+    return 2 * fam.height(block_partition(j, i + n + 1))
 
 
 @dataclass(frozen=True)
@@ -445,7 +440,7 @@ def independence_check(fam: VlFamily, I: LevelSet, J: LevelSet, n: int, j: int,
     """
     if variant not in ("backward", "forward"):
         raise ValueError("variant must be 'backward' or 'forward'")
-    _, v = fam.spec.s_of((1 << (j - 1)) + (1 + n) * (1 << j))
+    _, v = fam.spec.s_of(block_partition(j, n + 2))
     if v[-1] >= fam.height(n):
         raise SchemaError(f"vector {v} violates u_L < h_n = {fam.height(n)}")
     if I.stage != n or J.stage != n:
@@ -546,14 +541,8 @@ class WitnessPair:
         total = Fraction(0)
         for bits in range(1 << len(stages)):
             chosen = tuple(s for t, s in enumerate(stages) if bits >> t & 1)
-            term = Fraction(1)
-            for a_t, o_t in zip(A, outer):
-                target = self.constrained(o_t, chosen)
-                factor = correlation(a_t, target, i)
-                if factor == 0:
-                    term = Fraction(0)
-                    break
-                term *= factor
+            targets = [self.constrained(o_t, chosen) for o_t in outer]
+            term = product_correlation(A, targets, [1] * self.k, i)
             if term:
                 total += -term if len(chosen) % 2 else term
         return total
@@ -679,13 +668,7 @@ def sweep_probe(fam: VlFamily, E: list[LevelSet], F, n: int, count: int,
     half = Fraction(1, 2)
     for i in range(1, count + 1):
         t = t_times(fam, n, j, i)
-        outer = Fraction(1)
-        for e_t, f_t in zip(E, F_coords, strict=True):
-            factor = correlation(e_t, f_t, t)
-            if factor == 0:
-                outer = Fraction(0)
-                break
-            outer *= factor
+        outer = product_correlation(E, F_coords, [1] * len(E), t)
         if outer == 0:
             continue
         joint = pair.product_with_shifted_A(t) if pair else outer

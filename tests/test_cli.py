@@ -299,6 +299,15 @@ def test_witness_command(tmp_path, capsys):
     assert main(["witness", str(bad), "--k", "2", "--n", "2", "--M", "3"]) == 2
 
 
+def test_witness_violation_exits_1(tmp_path, capsys, monkeypatch):
+    vl_path = tmp_path / "vl.json"
+    vl_path.write_text(json.dumps(VL_GEOMETRIC))
+    monkeypatch.setattr(cli.vlmod, "witness_violations", lambda pair, horizon: [5])
+    assert main(["witness", str(vl_path), "--k", "2", "--n", "2", "--M", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "violations=[5]" in out and out.endswith("RESULT=fail\n")
+
+
 def test_family_file_round_trip(tmp_path):
     fam, _ = synthesize_R(DirectionSpec(ratios=()), 4)
     path = tmp_path / "fam.json"

@@ -4,13 +4,14 @@ with a CutstackError or ValueError, never anything else."""
 import contextlib
 import copy
 import io
+import json
 import math
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cutstack import cli
+from cutstack import cli, engine
 from cutstack.afs4 import AfsParams, ConstRule
 from cutstack.errors import CutstackError
 from cutstack.familyfile import family_from_json
@@ -168,3 +169,18 @@ def test_rejected_argv_exits_2_every_time(template, word, extra_flag, deadline):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("stage, code", [(engine.LIFT_STAGE_CAP, 0), (20_000, 2), (200_000, 2)])
+def test_correlate_refuses_stages_past_the_lift_cap(stage, code, tmp_path, capsys, deadline):
+    """Stage 20000 used to overflow Python's integer-to-string limit and
+    stage 200000 to exhaust memory; both now stop before materializing."""
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(TEMPLATES[0]))
+    with deadline(10):
+        assert cli.main(["correlate", str(path), "--set", f"{stage}:0", "--powers", "1",
+                         "--range", "0..1"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error: stage {stage}: more than LIFT_STAGE_CAP="
+                       f"{engine.LIFT_STAGE_CAP} stages above the first stage 0\n")

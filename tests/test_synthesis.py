@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutstack.afs4 import validate_V
+from cutstack.afs4 import preset_infinite_ergodic_index, validate_V
 from cutstack.errors import PrefixExhausted, SchemaError
 from cutstack.synthesis import (SECOND_ROUND_COVER, DirectionSpec,
                                 block_partition, block_position, pair_schedule,
@@ -56,6 +56,14 @@ def test_schedule_fairness_over_rounds():
             s = k + l
             assert counts[(k, l)] == J - max(s, 1) + 1
     assert schedule_round(end) == J
+
+
+def test_schedule_matches_round_enumeration():
+    # round m lists every (k, l) with k + l <= m, by sum and then by k
+    visits = [(m, (k, s - k)) for m in range(1, 20)
+              for s in range(m + 1) for k in range(s + 1)]
+    for j, (m, pair) in enumerate(visits[:500], start=1):
+        assert (schedule_round(j), pair_schedule(j)) == (m, pair)
 
 
 def test_separation_examples():
@@ -173,3 +181,33 @@ def test_descriptor_rebuild_is_deterministic():
     assert fam1.digest() == fam2.digest()
     for n in range(9):
         assert fam1.params(n) == fam2.params(n)
+
+
+@pytest.mark.parametrize("family", ["preset", "ergodic-set", "three-way"])
+def test_stage_params_are_w_minimal(family):
+    """ell_n and m_n are the W-minimal values and preset stages take
+    a_n = 3 h_n, c_n = a_n + 1 (validate_V checks only the inequalities)."""
+    complement = (Fraction(2, 5), Fraction(1, 4))
+    if family == "preset":
+        fam, rows = preset_infinite_ergodic_index(12), None
+    elif family == "ergodic-set":
+        fam, trace = synthesize_R(DirectionSpec(ratios=(half, third), complement=complement,
+                                                complement_complete=True), 12)
+        rows = trace.rows
+    else:
+        fam, trace = synthesize_three_way(
+            DirectionSpec(ratios=(half, third), ergodic_subset=(third,),
+                          complement=complement, complement_complete=True), 12)
+        rows = trace.rows
+    for n in range(13):
+        sp = fam.params(n)
+        H, h = fam.height(n), fam.marker(n)
+        assert sp.ell == max(H, n * (sp.p + sp.q + 2 * h) + 1)
+        assert sp.m == max(H, n * fam.marker(n + 1) + 1)
+        assert (sp.a, sp.b, sp.c, sp.d) == (sp.p - H, sp.ell - H, sp.q - H, sp.m - H)
+        if rows is None or rows[n].mode == "preset":
+            assert sp.a == 3 * h and sp.c == sp.a + 1
+    if rows is not None:
+        modes = {row.mode for row in rows}
+        assert {"preset", "ergodic"} <= modes
+        assert ("exact" in modes) == (family == "three-way")

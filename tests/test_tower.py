@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cutstack.afs4 import AfsParams, ConstRule
 from cutstack import engine
-from cutstack.errors import LiftError
+from cutstack.errors import LiftError, SchemaError
 from cutstack.tower import (LevelSet, apply_power, build_column, check_tiling,
                             correlation, correlation_profile, decompose, heights,
                             intersection_measure, product_correlation,
@@ -100,6 +100,17 @@ def test_cap_messages_name_stage_and_size(example_family, monkeypatch):
     monkeypatch.setattr(engine, "LIFT_STAGE_CAP", 2)
     with pytest.raises(LiftError, match=r"LIFT_STAGE_CAP=2 stages of n0=1 for need=10000"):
         engine.minimal_valid_stage(example_family, 1, 10_000)
+
+
+def test_level_set_stage_cap_precedes_materialization(vl_small):
+    cap = engine.LIFT_STAGE_CAP
+    fam = AfsParams(ConstRule(3), ConstRule(10), ConstRule(4), ConstRule(20))
+    with pytest.raises(SchemaError, match=f"stage {cap + 1}: more than LIFT_STAGE_CAP={cap}"):
+        LevelSet.level(fam, cap + 1, 0)
+    assert not fam._stages  # nothing was materialized
+    # the cap counts from the first stage, which is 1 for vector families
+    with pytest.raises(SchemaError, match=f"stage {cap + 2}: .* first stage 1"):
+        LevelSet.level(vl_small, cap + 2, 0)
 
 
 def test_correlation_frozen_values(example_family):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -148,6 +149,13 @@ def test_t_times():
     assert t_times(fam, 1, 2, 1) == 2 * fam.height(10)
     stages = [t_times(fam, 2, 1, i) for i in (1, 2, 3)]
     assert stages == sorted(stages) and len(set(stages)) == 3
+
+
+def test_t_times_is_twice_the_height_at_the_progression_stage():
+    fam = VlFamily(VlSpec(1, ConstR(3)))
+    for n, j, i in product(range(1, 4), repeat=3):
+        stage = (1 << (j - 1)) + (i + n) * (1 << j)
+        assert t_times(fam, n, j, i) == 2 * fam.height(stage)
 
 
 def test_independence_precondition():
