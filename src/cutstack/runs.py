@@ -11,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress, count as naturals, islice, repeat
+from operator import add, itemgetter, lt
 
 Run = tuple[int, int]
 
@@ -30,6 +32,41 @@ def normalize(pairs: Iterable[Run]) -> tuple[Run, ...]:
             ct = t
     out.append((cs, ct))
     return tuple(out)
+
+
+def spread(points: list[int], width: int, offset: int) -> tuple[Run, ...]:
+    """Union of the runs [x + offset, x + offset + width) for the sorted
+    ``points`` x: one linear pass, with a gap wherever neighbours lie more
+    than ``width`` apart."""
+    if not points:
+        return ()
+    cuts = list(compress(naturals(1), map(lt, map(add, points, repeat(width)),
+                                          islice(points, 1, None))))
+    firsts = [points[0] + offset]
+    firsts += [points[k] + offset for k in cuts]
+    reach = offset + width
+    lasts = [points[k - 1] + reach for k in cuts]
+    lasts.append(points[-1] + reach)
+    return tuple(zip(firsts, lasts))
+
+
+def cover(starts: list[int], stops: list[int]) -> tuple[Run, ...]:
+    """Union of nonempty runs, given their starts and their stops as two
+    separately sorted lists of one length; no start need be paired with its
+    stop.
+
+    Among the runs that start at or before x, as many have stopped by x as
+    stops precede x; so the union has a gap after the k-th smallest stop
+    exactly when it is below the (k+1)-th smallest start. One linear pass.
+    """
+    if not starts:
+        return ()
+    cuts = list(compress(naturals(1), map(lt, stops, islice(starts, 1, None))))
+    firsts = [starts[0]]
+    firsts += [starts[k] for k in cuts]
+    lasts = [stops[k - 1] for k in cuts]
+    lasts.append(stops[-1])
+    return tuple(zip(firsts, lasts))
 
 
 def from_indices(indices: Iterable[int]) -> tuple[Run, ...]:
@@ -104,6 +141,28 @@ def difference(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
 def contains(runs: tuple[Run, ...], x: int) -> bool:
     k = bisect_right(runs, (x, float("inf")))
     return k > 0 and runs[k - 1][0] <= x < runs[k - 1][1]
+
+
+def clamp(runs: tuple[Run, ...], lo: int, hi: int) -> tuple[Run, ...]:
+    """The part of ``runs`` inside the inclusive window [lo, hi].
+
+    Two bisections find the runs that meet the window, and only the two end
+    runs are trimmed: O(log n + output).
+    """
+    if lo > hi:
+        return ()
+    i = bisect_right(runs, lo, key=itemgetter(1))
+    j = bisect_right(runs, hi, lo=i, key=itemgetter(0))
+    if i == j:
+        return ()
+    out = runs[i:j]
+    (s, t), (_, v) = out[0], out[-1]
+    if s < lo or v > hi + 1:
+        out = list(out)
+        out[0] = (max(s, lo), t)
+        out[-1] = (out[-1][0], min(v, hi + 1))
+        out = tuple(out)
+    return out
 
 
 def iter_indices(runs: tuple[Run, ...]) -> Iterator[int]:
@@ -187,5 +246,5 @@ class RunSet:
         return RunSet(difference(self.runs, other.runs))
 
     def clamp(self, lo: int, hi: int) -> "RunSet":
-        """Restrict to the inclusive window [lo, hi]."""
-        return RunSet(intersect(self.runs, ((lo, hi + 1),)))
+        """Restrict to the inclusive window [lo, hi], in O(log n + output)."""
+        return RunSet(clamp(self.runs, lo, hi))

@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 
 from . import engine
 from . import runs as rn
@@ -503,46 +504,83 @@ def triple_correlation(A: LevelSet, p: int, q: int, i: int) -> Fraction:
     return intersection_measure([A, A, A], [p * i, q * i, 0])
 
 
-def _delta_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> Iterator[Run]:
-    """Runs covering every lag j = delta - (a - b) in [lo, hi], for delta in
-    ``deltas``, a in A0 and b in B0 (both at the walk's base stage).
+def _lag_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> tuple[Run, ...]:
+    """Every lag j = delta - (a - b) in [lo, hi], for delta in ``deltas``, a in
+    A0 and b in B0 (both at the walk's base stage), as sorted merged runs.
 
-    Runs come unsorted and may reach outside [lo, hi]; callers normalize and
-    clamp.
+    A cross-difference run [s, t) of a - b sends each delta to the lag run
+    [delta - t + 1, delta - s + 1), so the sorted deltas give the lag runs
+    of one cross-difference run in order. Cost: one sort of the deltas, then
+    a linear merge: one pass when there is one cross-difference run
+    (:func:`runs.spread`); with several, the starts are sorted along the
+    deltas and along the runs, and so are the stops, so they are laid out
+    as sorted integer streams that one sort of each merges
+    (:func:`runs.cover`). No run tuple is ever sorted.
     """
     if not deltas:
-        return iter(())
+        return ()
+    ds = sorted(deltas)
     # only differences a - b with delta - (a - b) in [lo, hi] for some delta
-    cd = rn.cross_difference_runs(A0.runs, B0.runs, min(deltas) - hi, max(deltas) - lo)
-    # j = delta - (a - b): reflect the cross-difference runs
-    return ((delta - (t - 1), delta - s + 1) for delta in deltas for s, t in cd)
+    cd = rn.cross_difference_runs(A0.runs, B0.runs, ds[0] - hi, ds[-1] - lo)
+    if len(cd) == 1:
+        (s, t), = cd
+        return rn.clamp(rn.spread(ds, t - s, 1 - t), lo, hi)
+    starts = _sums(ds, [1 - t for _, t in reversed(cd)])
+    stops = _sums(ds, [1 - s for s, _ in reversed(cd)])
+    starts.sort()
+    stops.sort()
+    return rn.clamp(rn.cover(starts, stops), lo, hi)
+
+
+def _sums(xs: list[int], ys: list[int]) -> list[int]:
+    """x + y for every x in the sorted xs and y in the sorted ys, as one
+    sorted stream per entry of the shorter list (few long streams merge
+    fastest, and wide level sets walk few deltas)."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    out: list[int] = []
+    for y in ys:
+        out += map(add, xs, repeat(y))
+    return out
 
 
 def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
-    """All j in [lo, hi] with correlation(A, B, j) > 0, as an exact run set."""
+    """All j in [lo, hi] with correlation(A, B, j) > 0, as an exact run set.
+
+    Lags of each sign cost one walk, one sort of its deltas and a linear
+    merge (:func:`_lag_runs`). Lags below zero swap A and B; their runs come
+    back ordered, so they are reflected in reverse order and joined to the
+    others, merging a run that stops at lag 0 with one that starts there.
+    """
     if lo > hi or A.is_empty() or B.is_empty():
         return RunSet(())
-    parts: list[Run] = []
-    if lo < 0:
-        neg = return_support(B, A, max(1, -hi), -lo)
-        parts.extend((-t + 1, -s + 1) for s, t in neg.runs)
     lo_nn = max(lo, 0)
+    out: tuple[Run, ...] = ()
     if hi >= lo_nn:
         A0, B0, walk = _pair_walk(A, B, lo_nn, hi)
-        dc = engine.pair_diff_counts(A.family, *walk)
-        parts.extend(_delta_runs(A0, B0, dc, lo_nn, hi))
-    return RunSet.of(parts).clamp(lo, hi)
+        out = _lag_runs(A0, B0, engine.pair_diff_counts(A.family, *walk), lo_nn, hi)
+    if lo < 0:
+        neg = [(1 - t, 1 - s) for s, t in
+               reversed(return_support(B, A, max(1, -hi), -lo).runs)]
+        if neg and out and neg[-1][1] == out[0][0]:
+            neg[-1] = (neg[-1][0], out[0][1])
+            out = out[1:]
+        out = tuple(neg) + out
+    return RunSet(out)
 
 
-def _divide_runs(J: RunSet, step: int) -> RunSet:
-    """{i : step * i in J} as runs."""
+def _divide_runs(runs: tuple[Run, ...], step: int) -> tuple[Run, ...]:
+    """{i : step * i in runs} as runs, for sorted disjoint ``runs``."""
     out: list[Run] = []
-    for s, t in J.runs:
+    for s, t in runs:
         lo = -((-s) // step)
-        hi = (t - 1) // step
-        if hi >= lo:
-            out.append((lo, hi + 1))
-    return RunSet.of(out)
+        hi = (t - 1) // step + 1
+        if hi > lo:
+            if out and out[-1][1] == lo:  # images of runs one gap apart touch
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+    return tuple(out)
 
 
 def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
@@ -555,8 +593,10 @@ def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
     walks in lockstep and prunes each with the proportionality gap:
     p i = delta_p - x_p and q i = delta_q - x_q force
     q delta_p - p delta_q = q x_p - p x_q, where x_p, x_q are cross
-    differences of (A, B1) and (A, B2). The supports are assembled from the
-    surviving deltas only, divided by the powers and intersected.
+    differences of (A, B1) and (A, B2). Each support is assembled from the
+    surviving deltas only, at the cost of one sort of them and a linear
+    merge (:func:`_lag_runs`); the two are divided by the powers in one
+    pass each and intersected by one linear merge.
     """
     if horizon <= 0 or A.is_empty() or B1.is_empty() or B2.is_empty():
         return RunSet(())
@@ -570,7 +610,7 @@ def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
         (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo))
     if not dp:
         return RunSet(())
-    # lags outside [p, p * horizon] divide to i outside [1, horizon]
-    J1 = _divide_runs(RunSet.of(_delta_runs(A1, C1, dp, p, p * horizon)), p)
-    J2 = _divide_runs(RunSet.of(_delta_runs(A2, C2, dq, q, q * horizon)), q)
-    return J1.intersect(J2).clamp(1, horizon)
+    # lags in [p, p * horizon] divide to i in [1, horizon]
+    J1 = _divide_runs(_lag_runs(A1, C1, dp, p, p * horizon), p)
+    J2 = _divide_runs(_lag_runs(A2, C2, dq, q, q * horizon), q)
+    return RunSet(rn.intersect(J1, J2))

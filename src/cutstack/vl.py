@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import engine
 from .errors import SchemaError, UnsupportedRule
 from .measure import format_rational
 from .runs import Run
@@ -254,17 +255,30 @@ class VlFamily(Family):
         self._g: list[int] = [0]
 
     def ensure(self, n: int) -> None:
+        """Build every stage up to n, once the cut counts of all the
+        transitions still to build have passed their checks: a stage's cuts
+        are materialized, so one past the cap stops the call before any
+        memory goes to the stages below it."""
         if self.spec.horizon is not None and n > self.spec.horizon:
             raise SchemaError(f"stage {n} beyond the materialization horizon "
                               f"{self.spec.horizon}")
-        while len(self._h) <= n:
-            m = len(self._h) - 1  # build transition m -> m+1
-            L = self.spec.L
+        built = len(self._h) - 1
+        if built >= n:
+            return
+        L = self.spec.L
+        cuts: list[int] = []
+        for m in range(built, n):  # transition m -> m+1
             r = r_value(self.spec.r, m)
             if r <= L:
                 raise SchemaError(f"need more than {L} subcolumns, got {r}", stage=m)
-            if m > 1 and r < self._r[m - 1]:
+            if m > 1 and r < (cuts[-1] if cuts else self._r[m - 1]):
                 raise SchemaError("cut counts must be nondecreasing", stage=m)
+            # every cut is materialized; cap them at the states a walk may hold
+            if r > engine.STATE_CAP:
+                raise SchemaError(f"{r} cuts exceed STATE_CAP={engine.STATE_CAP}, "
+                                  f"so stage {n} cannot be built", stage=m)
+            cuts.append(r)
+        for m, r in enumerate(cuts, built):
             _, v = self.spec.s_of(m)
             sigma = sum(v)
             h = self._h[m]

@@ -16,7 +16,7 @@ from cutstack.afs4 import AfsParams, ConstRule
 from cutstack.errors import CutstackError
 from cutstack.familyfile import family_from_json
 from cutstack.tower import Family, heights
-from cutstack.vl import ConstR, VlFamily, VlSpec
+from cutstack.vl import ConstR, GeometricR, VlFamily, VlSpec
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -184,3 +184,29 @@ def test_correlate_refuses_stages_past_the_lift_cap(stage, code, tmp_path, capsy
     if code:
         assert err == (f"error: stage {stage}: more than LIFT_STAGE_CAP="
                        f"{engine.LIFT_STAGE_CAP} stages above the first stage 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "{path}", "--set", "22:0", "--powers", "1", "--range", "0..1"],
+    ["witness", "{path}", "--k", "2", "--n", "2", "--M", "25"],
+])
+def test_vl_stages_past_the_cut_cap_are_refused(argv, tmp_path, capsys, deadline):
+    """GeometricR(6, 2) cuts stage 19 into 6 * 2^19 copies, more than
+    STATE_CAP; stage 22 (or M + 2 = 27) would hold millions of cuts, so it
+    is refused before any stage is built."""
+    path = tmp_path / "geo.json"
+    path.write_text(json.dumps(TEMPLATES[3]))
+    with deadline(5):
+        assert cli.main([a.format(path=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 19: {6 * 2 ** 19} cuts exceed "
+                          f"STATE_CAP={engine.STATE_CAP}, so stage ")
+
+
+def test_vl_cut_cap_is_checked_before_building(deadline):
+    family = VlFamily(VlSpec(2, GeometricR(6, 2)))
+    with deadline(5):
+        family.ensure(8)  # the benchmark's deepest GeometricR stage still builds
+        with pytest.raises(CutstackError, match=r"^stage 19: .* so stage 40 cannot"):
+            family.ensure(40)
+    assert len(family._offsets) == 8  # stages 9 and above were never built

@@ -91,3 +91,55 @@ def test_runset_surface():
     assert s.min() == 0 and s.max() == 11
     assert s.clamp(2, 10).runs == ((2, 3), (10, 11))
     assert not RunSet(()).intersect(s)
+
+
+@st.composite
+def clamp_cases(draw):
+    """A run set and a window whose ends are drawn from the runs' own
+    boundaries (on them and one inside or outside) or from anywhere,
+    including beyond the hull and inverted."""
+    runs = rn.from_indices(draw(index_sets))
+    edges = [x + d for s, t in runs for x in (s, t - 1) for d in (-1, 0, 1)]
+    end = st.one_of(st.integers(-300, 300), st.sampled_from(edges)) if edges \
+        else st.integers(-300, 300)
+    return runs, draw(end), draw(end)
+
+
+@given(clamp_cases())
+@settings(max_examples=200, deadline=None)
+def test_clamp_matches_sets(case):
+    runs, lo, hi = case
+    got = RunSet(runs).clamp(lo, hi)
+    assert got.runs == rn.normalize(got.runs)
+    assert set(got) == {x for x in rn.iter_indices(runs) if lo <= x <= hi}
+
+
+def test_clamp_edges():
+    runs = ((0, 3), (10, 12))
+    assert rn.clamp(runs, 5, 4) == ()
+    assert rn.clamp((), -10, 10) == ()
+    assert rn.clamp(runs, 3, 9) == ()
+    assert rn.clamp(runs, -50, -1) == () == rn.clamp(runs, 12, 50)
+    assert rn.clamp(runs, -50, 50) == runs
+    assert rn.clamp(runs, 2, 10) == ((2, 3), (10, 11))
+    assert rn.clamp(runs, 1, 1) == ((1, 2),)
+
+
+sorted_points = st.lists(st.integers(-200, 200), max_size=30).map(sorted)
+
+
+@given(sorted_points, st.integers(1, 6), st.integers(-20, 20))
+@settings(max_examples=200, deadline=None)
+def test_spread_matches_sets(points, width, offset):
+    got = rn.spread(points, width, offset)
+    assert got == rn.normalize(got)
+    assert set(rn.iter_indices(got)) == {x + offset + k for x in points for k in range(width)}
+
+
+@given(st.lists(st.tuples(st.integers(-200, 200), st.integers(1, 6)), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_cover_matches_sets(pairs):
+    """Starts and stops sorted apart from each other still give the union."""
+    got = rn.cover(sorted(s for s, _ in pairs), sorted(s + w for s, w in pairs))
+    assert got == rn.normalize(got)
+    assert set(rn.iter_indices(got)) == {x for s, w in pairs for x in range(s, s + w)}
