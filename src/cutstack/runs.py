@@ -34,38 +34,25 @@ def normalize(pairs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple(out)
 
 
-def spread(points: list[int], width: int, offset: int) -> tuple[Run, ...]:
-    """Union of the runs [x + offset, x + offset + width) for the sorted
-    ``points`` x: one linear pass, with a gap wherever neighbours lie more
-    than ``width`` apart."""
-    if not points:
-        return ()
-    cuts = list(compress(naturals(1), map(lt, map(add, points, repeat(width)),
-                                          islice(points, 1, None))))
-    firsts = [points[0] + offset]
-    firsts += [points[k] + offset for k in cuts]
-    reach = offset + width
-    lasts = [points[k - 1] + reach for k in cuts]
-    lasts.append(points[-1] + reach)
-    return tuple(zip(firsts, lasts))
+def cover(starts: list[int], stops: list[int], lead: int = 0,
+          trail: int = 0) -> tuple[Run, ...]:
+    """Union of the nonempty runs [x + lead, y + trail), given their x and
+    their y as two separately sorted lists of one length; no x need be paired
+    with its y. For runs of one width, one sorted list serves as both and
+    the offsets place the runs, so no shifted copy of it is built.
 
-
-def cover(starts: list[int], stops: list[int]) -> tuple[Run, ...]:
-    """Union of nonempty runs, given their starts and their stops as two
-    separately sorted lists of one length; no start need be paired with its
-    stop.
-
-    Among the runs that start at or before x, as many have stopped by x as
-    stops precede x; so the union has a gap after the k-th smallest stop
+    Among the runs that start at or before z, as many have stopped by z as
+    stops precede z; so the union has a gap after the k-th smallest stop
     exactly when it is below the (k+1)-th smallest start. One linear pass.
     """
     if not starts:
         return ()
-    cuts = list(compress(naturals(1), map(lt, stops, islice(starts, 1, None))))
-    firsts = [starts[0]]
-    firsts += [starts[k] for k in cuts]
-    lasts = [stops[k - 1] for k in cuts]
-    lasts.append(stops[-1])
+    ends = stops if trail == lead else map(add, stops, repeat(trail - lead))
+    cuts = list(compress(naturals(1), map(lt, ends, islice(starts, 1, None))))
+    firsts = [starts[0] + lead]
+    firsts += [starts[k] + lead for k in cuts]
+    lasts = [stops[k - 1] + trail for k in cuts]
+    lasts.append(stops[-1] + trail)
     return tuple(zip(firsts, lasts))
 
 

@@ -511,11 +511,12 @@ def _lag_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> tuple[Run
     A cross-difference run [s, t) of a - b sends each delta to the lag run
     [delta - t + 1, delta - s + 1), so the sorted deltas give the lag runs
     of one cross-difference run in order. Cost: one sort of the deltas, then
-    a linear merge: one pass when there is one cross-difference run
-    (:func:`runs.spread`); with several, the starts are sorted along the
-    deltas and along the runs, and so are the stops, so they are laid out
-    as sorted integer streams that one sort of each merges
-    (:func:`runs.cover`). No run tuple is ever sorted.
+    one linear pass (:func:`runs.cover`) over the lag runs' starts and
+    stops. With one cross-difference run these are the sorted deltas
+    themselves, offset; with several, the starts are sorted along the deltas
+    and along the runs, and so are the stops, so they are laid out as sorted
+    integer streams that one sort of each merges. No run tuple is ever
+    sorted.
     """
     if not deltas:
         return ()
@@ -524,7 +525,7 @@ def _lag_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> tuple[Run
     cd = rn.cross_difference_runs(A0.runs, B0.runs, ds[0] - hi, ds[-1] - lo)
     if len(cd) == 1:
         (s, t), = cd
-        return rn.clamp(rn.spread(ds, t - s, 1 - t), lo, hi)
+        return rn.clamp(rn.cover(ds, ds, 1 - t, 1 - s), lo, hi)
     starts = _sums(ds, [1 - t for _, t in reversed(cd)])
     stops = _sums(ds, [1 - s for s, _ in reversed(cd)])
     starts.sort()

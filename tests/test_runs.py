@@ -125,17 +125,6 @@ def test_clamp_edges():
     assert rn.clamp(runs, 1, 1) == ((1, 2),)
 
 
-sorted_points = st.lists(st.integers(-200, 200), max_size=30).map(sorted)
-
-
-@given(sorted_points, st.integers(1, 6), st.integers(-20, 20))
-@settings(max_examples=200, deadline=None)
-def test_spread_matches_sets(points, width, offset):
-    got = rn.spread(points, width, offset)
-    assert got == rn.normalize(got)
-    assert set(rn.iter_indices(got)) == {x + offset + k for x in points for k in range(width)}
-
-
 @given(st.lists(st.tuples(st.integers(-200, 200), st.integers(1, 6)), max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_cover_matches_sets(pairs):
@@ -143,3 +132,13 @@ def test_cover_matches_sets(pairs):
     got = rn.cover(sorted(s for s, _ in pairs), sorted(s + w for s, w in pairs))
     assert got == rn.normalize(got)
     assert set(rn.iter_indices(got)) == {x for s, w in pairs for x in range(s, s + w)}
+
+
+@given(st.lists(st.integers(-200, 200), max_size=30).map(sorted),
+       st.integers(1, 6), st.integers(-20, 20))
+@settings(max_examples=200, deadline=None)
+def test_cover_offsets_one_list_matches_sets(points, width, lead):
+    """One sorted list as both starts and stops, placed by the offsets."""
+    got = rn.cover(points, points, lead, lead + width)
+    assert got == rn.normalize(got)
+    assert set(rn.iter_indices(got)) == {x + lead + k for x in points for k in range(width)}
