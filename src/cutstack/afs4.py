@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import PrefixExhausted, SchemaError, UnsupportedRule
 from .measure import format_rational, parse_rational
-from .runs import Run
 from .tower import Family
 
 # ---------------------------------------------------------------------------
@@ -221,23 +220,9 @@ class AfsParams(Family):
         self.ensure(up_to)
         return [(self._H[n], self._h[n]) for n in range(up_to + 1)]
 
-    def cuts_between(self, n: int) -> int:
-        return 4
-
     def offsets_between(self, n: int) -> tuple[int, ...]:
         self.ensure(n + 1)
         return self._offs[n]
-
-    def spacer_ranges_between(self, n: int) -> tuple[Run, ...]:
-        sp = self.params(n)
-        H = self._H[n]
-        marks = [
-            (H, sp.p),
-            (sp.p + H, sp.p + sp.ell),
-            (sp.p + sp.ell + H, sp.p + sp.ell + sp.q),
-            (sp.p + sp.ell + sp.q + H, sp.p + sp.ell + sp.q + sp.m),
-        ]
-        return tuple((s, t) for s, t in marks if t > s)
 
     def descriptor(self) -> dict:
         return {

@@ -35,6 +35,10 @@ REGIME_UNKNOWN = "unknown-at-horizon"
 EXIT_CODES = {REGIME_ERGODIC: 0, REGIME_CONS_NOT_ERG: 3,
               REGIME_NOT_CONS: 4, REGIME_UNKNOWN: 5}
 
+# triple_return_set settles each candidate lag with its own walk; more
+# candidates than this are refused.
+REFINE_CAP = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Stage-level hypothesis conditions
@@ -139,21 +143,21 @@ def lambda_set(family, p: int, q: int, A: LevelSet, horizon: int,
     return joint_return_set(A, B1, B2, p, q, horizon)
 
 
-def triple_return_set(family, p: int, q: int, A: LevelSet, horizon: int,
-                      refine_cap: int = 100_000) -> RunSet:
+def triple_return_set(family, p: int, q: int, A: LevelSet, horizon: int) -> RunSet:
     """Exact {0 < i <= horizon : T^{pi} A meets T^{qi} A meets A}.
 
     Candidates come from the pairwise product return set, computed by the
     gap-pruned lockstep walk of :func:`lambda_set`, then each candidate is
     confirmed by an exact three-way intersection. The walk's cost is set by
     its surviving states, so emptiness conclusions are cheap at any horizon;
-    the refinement costs one intersection walk per candidate.
+    the refinement costs one intersection walk per candidate, for at most
+    ``REFINE_CAP`` candidates.
     """
     candidates = lambda_set(family, p, q, A, horizon)
     if candidates.is_empty():
         return candidates
-    if len(candidates) > refine_cap:
-        raise ValueError(f"{len(candidates)} candidates exceed the refinement cap")
+    if len(candidates) > REFINE_CAP:
+        raise ValueError(f"{len(candidates)} candidate lags exceed REFINE_CAP={REFINE_CAP}")
     return RunSet.from_indices(
         i for i in candidates if triple_correlation(A, p, q, i) > 0)
 
@@ -254,14 +258,21 @@ def _round_bound_stage(q_bound: int) -> int:
     return n
 
 
-def _preset_not_conservative(fam: AfsParams, p: int, q: int) -> tuple[int, list[int], list[str]]:
-    """Threshold + exceptional stages for the preset rule at reduced p < q.
+def _preset_gap_threshold(p: int, q: int) -> int:
+    """First stage from which the preset rule's gap discrepancy exceeds
+    (p + q) h_n, for p < q.
 
     The rule gives q_n = p_n + 1 and p_n >= n h_n, so
     |p q_n - q p_n| = (q - p) p_n - p >= ((q - p) n - p) h_n, which exceeds
     (p + q) h_n as soon as (q - p) n > 2p + q.
     """
-    threshold = (2 * p + q) // (q - p) + 1
+    return (2 * p + q) // (q - p) + 1
+
+
+def _preset_not_conservative(fam: AfsParams, p: int, q: int) -> tuple[int, list[int], list[str]]:
+    """Threshold (:func:`_preset_gap_threshold`) + exceptional stages for the
+    preset rule at reduced p < q."""
+    threshold = _preset_gap_threshold(p, q)
     scan_to = max(threshold + 4, 8)
     fam.ensure(scan_to + 1)
     exceptional = [n for n in range(threshold) if gap_condition(fam, n, p, q)]
@@ -290,8 +301,7 @@ def _synth_not_conservative_threshold(fam: SynthesizedParams, p: int, q: int,
         for j in range(1, v + 1):
             if i + j <= v:
                 n_bar = max(n_bar, block_partition(i, j))
-    n_preset = (2 * p + q) // (q - p) + 1
-    return max(n_bar, n_preset)
+    return max(n_bar, _preset_gap_threshold(p, q))
 
 
 def _synth_cross_target_threshold(fam: SynthesizedParams, p: int, q: int) -> int:
@@ -307,8 +317,7 @@ def _synth_cross_target_threshold(fam: SynthesizedParams, p: int, q: int) -> int
     out = _round_bound_stage(q)
     for r in fam.spec.ratios:
         out = max(out, r.denominator * (p + q + 1))
-    out = max(out, (2 * p + q) // (q - p) + 1 if q > p else out)
-    return out
+    return max(out, _preset_gap_threshold(p, q))
 
 
 def _verify_gap_tail(fam: AfsParams, p: int, q: int, threshold: int,

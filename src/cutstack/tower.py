@@ -35,8 +35,10 @@ class Column:
     """One stage of a tower.
 
     ``embed_offsets`` are the base positions of the copies of the previous
-    column, ``spacer_ranges`` the half-open level ranges that are new at this
-    stage, and ``cuts`` the number of copies (0 for the base column).
+    column: they and ``height`` are what the family decides. The rest is
+    derived from them: ``spacer_ranges`` are the half-open level ranges the
+    copies leave uncovered (new at this stage), and ``cuts`` is the number of
+    copies (0 for the base column).
     """
 
     stage: int
@@ -47,7 +49,11 @@ class Column:
 
 
 def check_tiling(column: Column, prev_height: int) -> None:
-    """Assert copies and spacers partition [0, height) exactly."""
+    """Assert copies and spacers partition [0, height) exactly.
+
+    A family's spacers are the gaps its copies leave, so this rejects copies
+    that overlap, leave the bottom level uncovered or run past the top.
+    """
     pieces = [(o, o + prev_height) for o in column.embed_offsets]
     pieces += list(column.spacer_ranges)
     pieces.sort()
@@ -66,8 +72,13 @@ class Family(ABC):
     """Shared interface of the tower constructions.
 
     Stage numbering starts at ``first_stage`` with a single unit-interval
-    level. ``offsets_between(n)`` places the copies of column n inside column
-    n+1. All derived data is cached.
+    level. A family supplies what its construction decides: the heights
+    (``height``) and where the copies of column n go inside column n+1
+    (``offsets_between``), materialized by ``ensure``, plus its
+    ``descriptor`` and ``height_profile``. Everything else is derived here
+    once: the cut count is the number of copies, the spacers of column n+1
+    are the levels the copies leave uncovered, and a level's width is the
+    product of the inverse cut counts below it. All derived data is cached.
 
     The engine's walks read their per-stage inputs from a stage table that
     the walks fill lazily: the offsets each walk selects at a stage, and the
@@ -96,16 +107,9 @@ class Family(ABC):
         """Number of levels of the stage-n column."""
 
     @abstractmethod
-    def cuts_between(self, n: int) -> int:
-        """Number of subcolumns stage n is cut into to form stage n+1."""
-
-    @abstractmethod
     def offsets_between(self, n: int) -> tuple[int, ...]:
-        """Base positions of the copies of column n inside column n+1."""
-
-    @abstractmethod
-    def spacer_ranges_between(self, n: int) -> tuple[Run, ...]:
-        """Level ranges of column n+1 that are new spacers."""
+        """Base positions of the copies of column n inside column n+1, in
+        increasing order."""
 
     @abstractmethod
     def descriptor(self) -> dict:
@@ -119,6 +123,10 @@ class Family(ABC):
     def accumulation_ratios(self) -> set[Fraction] | None:
         """Declared accumulation set of p_n/q_n for rule-complete families."""
         return None
+
+    def cuts_between(self, n: int) -> int:
+        """Number of subcolumns stage n is cut into to form stage n+1."""
+        return len(self.offsets_between(n))
 
     def level_width(self, n: int) -> Fraction:
         if n < self.first_stage:
@@ -139,13 +147,10 @@ class Family(ABC):
         if n == self.first_stage:
             col = Column(n, 1, (), (), 0)
         else:
-            col = Column(
-                stage=n,
-                height=self.height(n),
-                embed_offsets=self.offsets_between(n - 1),
-                spacer_ranges=self.spacer_ranges_between(n - 1),
-                cuts=self.cuts_between(n - 1),
-            )
+            offs, h, height = self.offsets_between(n - 1), self.height(n - 1), self.height(n)
+            # the gaps above each copy, up to the next copy or the top
+            gaps = zip((o + h for o in offs), offs[1:] + (height,))
+            col = Column(n, height, offs, tuple((s, t) for s, t in gaps if t > s), len(offs))
         return self._columns.setdefault(n, col)
 
     def _stage_offsets(self, n: int, positions: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -217,11 +222,13 @@ class LevelSet:
         if self.stage < self.family.first_stage:
             raise SchemaError("stage below base", stage=self.stage)
         # heights grow at least geometrically per stage, so materializing a
-        # column far above the base runs out of memory; the lift cap bounds it
-        if self.stage - self.family.first_stage > engine.LIFT_STAGE_CAP:
+        # column far above the base runs out of memory; the lift cap bounds it,
+        # also for the stage t+1 that a constraint at transition t builds
+        top = max([self.stage] + [t + 1 for t, _ in self.letter_constraints])
+        if top - self.family.first_stage > engine.LIFT_STAGE_CAP:
             raise SchemaError(f"more than LIFT_STAGE_CAP={engine.LIFT_STAGE_CAP} "
                               f"stages above the first stage {self.family.first_stage}",
-                              stage=self.stage)
+                              stage=top)
         self.family.ensure(self.stage)
         h = self.family.height(self.stage)
         if self.runs and (self.runs[0][0] < 0 or self.runs[-1][1] > h):

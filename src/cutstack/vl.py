@@ -23,7 +23,6 @@ from itertools import combinations
 from . import engine
 from .errors import SchemaError, UnsupportedRule
 from .measure import format_rational
-from .runs import Run
 from .synthesis import block_partition, block_position
 from .tower import (Family, LevelSet, correlation, intersection_measure,
                     product_correlation, return_support)
@@ -96,10 +95,17 @@ class ConstR:
 
 @dataclass(frozen=True)
 class PowerR:
-    """r_n = ceil(c * n^alpha), exact integer arithmetic throughout."""
+    """r_n = ceil(c * n^alpha) with c > 0 and alpha >= 0, exact integer
+    arithmetic throughout."""
 
     c: Fraction
     alpha: Fraction
+
+    def __post_init__(self) -> None:
+        if self.c <= 0:
+            raise ValueError(f"power rule needs c > 0, got {self.c}")
+        if self.alpha < 0:
+            raise ValueError(f"power rule needs alpha >= 0, got {self.alpha}")
 
     def to_json(self) -> dict:
         return {"kind": "power", "c": format_rational(self.c),
@@ -159,9 +165,7 @@ def _int_nth_root(x: int, n: int) -> int:
 
 
 def _ceil_c_n_alpha(c: Fraction, n: int, alpha: Fraction) -> int:
-    """Exact ceil(c * n^alpha); alpha >= 0 rational."""
-    if alpha < 0:
-        raise UnsupportedRule("negative exponents are not supported")
+    """Exact ceil(c * n^alpha) for rational c > 0 and alpha >= 0."""
     a, b = alpha.numerator, alpha.denominator
     target = c.numerator ** b * n ** a  # k is smallest with (k c_den)^b >= target
     den = c.denominator
@@ -249,10 +253,7 @@ class VlFamily(Family):
             raise SchemaError("L must be positive")
         self.spec = spec
         self._h = [None, 1]  # h[0] unused
-        self._r: list[int] = [0]
         self._offsets: list[tuple[int, ...]] = [()]
-        self._spacers: list[tuple[Run, ...]] = [()]
-        self._g: list[int] = [0]
 
     def ensure(self, n: int) -> None:
         """Build every stage up to n, once the cut counts of all the
@@ -271,7 +272,7 @@ class VlFamily(Family):
             r = r_value(self.spec.r, m)
             if r <= L:
                 raise SchemaError(f"need more than {L} subcolumns, got {r}", stage=m)
-            if m > 1 and r < (cuts[-1] if cuts else self._r[m - 1]):
+            if m > 1 and r < (cuts[-1] if cuts else len(self._offsets[m - 1])):
                 raise SchemaError("cut counts must be nondecreasing", stage=m)
             # every cut is materialized; cap them at the states a walk may hold
             if r > engine.STATE_CAP:
@@ -280,29 +281,15 @@ class VlFamily(Family):
             cuts.append(r)
         for m, r in enumerate(cuts, built):
             _, v = self.spec.s_of(m)
-            sigma = sum(v)
             h = self._h[m]
-            offs = [0]
-            spacer_ranges: list[Run] = []
-            for i in range(1, r + 1):
-                if i <= r - L - 1:
-                    extra = (2 * L + 1) * h + sigma
-                elif i < r:
-                    extra = h + v[i - (r - L - 1) - 1]
-                else:
-                    extra = 0
-                if i < r:
-                    spacer_start = offs[-1] + h
-                    offs.append(spacer_start + extra)
-                    if extra:
-                        spacer_ranges.append((spacer_start, offs[-1]))
-            g = offs[-1] + h
-            spacer_ranges.append((g, 2 * g))
-            self._r.append(r)
+            # a copy and the (2L+1) h + sigma spacers on it span one step
+            step = (2 * L + 2) * h + sum(v)
+            offs = list(range(0, (r - L) * step, step))
+            for u in v:  # the next L copies carry h + u_d spacers each
+                offs.append(offs[-1] + 2 * h + u)
             self._offsets.append(tuple(offs))
-            self._spacers.append(tuple(spacer_ranges))
-            self._g.append(g)
-            self._h.append(2 * g)
+            # the top of the last copy is g_m, and g_m spacers go above it
+            self._h.append(2 * (offs[-1] + h))
 
     def height(self, n: int) -> int:
         self.ensure(n)
@@ -310,20 +297,11 @@ class VlFamily(Family):
 
     def stack_height(self, n: int) -> int:
         """g_n: the height of the restacked subcolumns before the top spacers."""
-        self.ensure(n + 1)
-        return self._g[n]
-
-    def cuts_between(self, n: int) -> int:
-        self.ensure(n + 1)
-        return self._r[n]
+        return self.height(n + 1) // 2
 
     def offsets_between(self, n: int) -> tuple[int, ...]:
         self.ensure(n + 1)
         return self._offsets[n]
-
-    def spacer_ranges_between(self, n: int) -> tuple[Run, ...]:
-        self.ensure(n + 1)
-        return self._spacers[n]
 
     def height_profile(self, up_to: int) -> list[int]:
         self.ensure(up_to)
@@ -588,13 +566,18 @@ def witness_sets(fam: VlFamily, k: int, n: int, M: int) -> WitnessPair:
     return pair
 
 
-def witness_violations(pair: WitnessPair, horizon: int,
-                       max_candidates: int = 20_000) -> list[int]:
+# witness_violations settles each candidate lag by inclusion-exclusion; more
+# candidates than this are refused.
+SCAN_CAP = 20_000
+
+
+def witness_violations(pair: WitnessPair, horizon: int) -> list[int]:
     """Lags |i| <= horizon where the witness correlation is nonzero.
 
     Candidates are read off the coordinate return supports (B sits inside the
     outer product, so any nonzero lag must light up every coordinate), then
-    each candidate is settled by the exact inclusion-exclusion value.
+    each candidate, at most ``SCAN_CAP`` of them, is settled by the exact
+    inclusion-exclusion value.
     """
     if horizon > pair.valid_horizon():
         raise SchemaError(
@@ -604,8 +587,8 @@ def witness_violations(pair: WitnessPair, horizon: int,
     candidates = return_support(A[0], outer[0], -horizon, horizon)
     for a_t, o_t in zip(A[1:], outer[1:]):
         candidates = candidates.intersect(return_support(a_t, o_t, -horizon, horizon))
-    if len(candidates) > max_candidates:
-        raise SchemaError(f"{len(candidates)} candidate lags exceed the scan cap")
+    if len(candidates) > SCAN_CAP:
+        raise SchemaError(f"{len(candidates)} candidate lags exceed SCAN_CAP={SCAN_CAP}")
     out = []
     for i in candidates:
         if i != 0 and pair.product_with_shifted_A(i) > 0:

@@ -7,6 +7,8 @@ from cutstack.afs4 import (AfsParams, ConstRule, HScaleRule, PrefixRule,
                            preset_infinite_ergodic_index, rule_from_json,
                            validate_V, validate_W)
 from cutstack.errors import PrefixExhausted, SchemaError
+from cutstack.tower import LevelSet
+from cutstack.vl import PrefixR, VlFamily, VlSpec
 
 
 def test_derived_sequences(example_family):
@@ -67,6 +69,20 @@ def test_prefix_rule_exhaustion():
     fam.ensure(2)
     with pytest.raises(PrefixExhausted):
         fam.ensure(3)
+
+
+def test_constraint_past_a_prefix_is_refused():
+    """A letter constraint names a transition the family must build, so one
+    past the end of a prefix rule is refused, as for vl cut prefixes; it
+    used to give a measure for a stage the family cannot build."""
+    fam = AfsParams(PrefixRule((3, 3)), ConstRule(10), ConstRule(4), ConstRule(20))
+    A = LevelSet.level(fam, 1, 0)
+    assert A.constrain(1, (0,)).measure() == A.measure() / 4
+    with pytest.raises(PrefixExhausted):
+        A.constrain(2, (0,))
+    vfam = VlFamily(VlSpec(2, PrefixR((4, 5))))
+    with pytest.raises(SchemaError, match="cut prefix has 2 entries"):
+        LevelSet.level(vfam, 1, 0).constrain(3, (0,))
 
 
 def test_negative_rule_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -51,6 +52,22 @@ def test_build_determinism(example_file, tmp_path):
     main(["build", example_file, "--stage", "2", "--out", str(a)])
     main(["build", example_file, "--stage", "2", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of stage-6 build reports recorded while each family still wrote out
+# its own spacer ranges; spacers derived from the copy offsets keep every byte.
+BUILD_REPORT_SHA256 = {
+    "preset": "219e2eff02856f10d526671bd5f1a1a6ea143f4d537f0080b885ac22ca6ffa04",
+    "vl": "d787630409ab19b8f455f6d763b97b7e866a198fd6c08bae77e131d96aff8dbd",
+}
+
+
+@pytest.mark.parametrize("name, doc", [("preset", PRESET), ("vl", VL_GEOMETRIC)])
+def test_build_report_bytes_are_recorded(name, doc, tmp_path):
+    family, report = tmp_path / "family.json", tmp_path / "report.txt"
+    family.write_text(json.dumps(doc))
+    assert main(["build", str(family), "--stage", "6", "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == BUILD_REPORT_SHA256[name]
 
 
 def test_build_parse_error(tmp_path, capsys):

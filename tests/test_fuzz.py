@@ -85,10 +85,16 @@ def _with_c(rule):
     return doc
 
 
+def _with_power(c, alpha):
+    return dict(TEMPLATES[4], r={"kind": "power", "c": c, "alpha": alpha})
+
+
 @given(doc=documents())
 @example(doc=_with_c({"kind": "ratio_cycle", "ratios": []}))
 @example(doc=_with_c({"kind": "ratio_cycle", "ratios": ["0/1"]}))
 @example(doc=dict(TEMPLATES[3], L=math.inf))
+@example(doc=_with_power("0", "1/2"))
+@example(doc=_with_power("-3", "1/2"))
 @FUZZ
 def test_family_documents_load_or_fail_cleanly(doc, deadline):
     with deadline(5):
@@ -98,6 +104,18 @@ def test_family_documents_load_or_fail_cleanly(doc, deadline):
             heights(family, family.first_stage + 2)
         except (CutstackError, ValueError):
             pass
+
+
+@pytest.mark.parametrize("c, alpha", [("0", "1/2"), ("-3", "1/2"), ("3", "-1/2")])
+def test_power_rule_needs_positive_c_and_nonnegative_alpha(c, alpha, tmp_path, capsys,
+                                                           deadline):
+    """c = 0 with an even alpha denominator used to loop forever in
+    ``r_value``, and c = -3 was read as c = 3."""
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(_with_power(c, alpha)))
+    with deadline(5):
+        assert cli.main(["build", str(path), "--stage", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: field 'r': power rule needs ")
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutstack import products
 from cutstack.afs4 import AfsParams, ConstRule, HScaleRule, RatioCycleRule
 from cutstack.errors import CertificateError
 from cutstack.products import (MEMBER, NON_MEMBER, REGIME_CONS_NOT_ERG,
@@ -116,6 +117,16 @@ def test_triple_return_set(roomy_family, roomy_naive):
     brute = {i for i in range(1, 61)
              if roomy_naive.triple_correlation(1, {0, 4, 9}, 1, 2, i) > 0}
     assert set(got) == brute
+
+
+def test_refine_cap_names_count_and_cap(example_family, monkeypatch):
+    A = LevelSet.from_indices(example_family, 1, [0, 5, 22])
+    count = len(lambda_set(example_family, 1, 2, A, 60))
+    assert count > 1
+    monkeypatch.setattr(products, "REFINE_CAP", count - 1)
+    with pytest.raises(ValueError,
+                       match=fr"^{count} candidate lags exceed REFINE_CAP={count - 1}$"):
+        triple_return_set(example_family, 1, 2, A, 60)
 
 
 def _oracle_lambda(p, q, A, horizon, targets=None):

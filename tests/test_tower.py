@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from cutstack.afs4 import AfsParams, ConstRule
 from cutstack import engine
 from cutstack.errors import LiftError, SchemaError
-from cutstack.tower import (LevelSet, apply_power, build_column, check_tiling,
+from cutstack.naive import SPACER, NaiveTower
+from cutstack.tower import (Family, LevelSet, apply_power, build_column, check_tiling,
                             correlation, correlation_profile, decompose, heights,
                             intersection_measure, product_correlation,
                             return_support, triple_correlation)
+from cutstack.vl import ConstR, PowerR, VlFamily, VlSpec, r_value
 
 
 def test_build_column_example(example_family):
@@ -32,6 +35,90 @@ def test_tiling_through_stage_8(preset_family, example_family):
     for fam in (preset_family, example_family):
         for n in range(fam.first_stage + 1, 9):
             check_tiling(fam.column(n), fam.height(n - 1))
+
+
+def _naive_layout(naive, m):
+    """(height, copy offsets, spacer runs, cut count) of the naive stage-m
+    column, read off its level labels."""
+    labels = naive.layers[naive.stage_index(m) - 1]
+    spacers, k = [], 0
+    for is_spacer, group in groupby(labels, key=lambda src: src == SPACER):
+        size = sum(1 for _ in group)
+        if is_spacer:
+            spacers.append((k, k + size))
+        k += size
+    return (naive.height(m), tuple(naive.copies_of_previous(m)), tuple(spacers),
+            naive.cut_counts[naive.stage_index(m) - 1])
+
+
+def _four_cut_naive(fam, stages):
+    return NaiveTower.four_cut([(sp.a, sp.b, sp.c, sp.d)
+                                for sp in map(fam.params, range(stages))])
+
+
+def _vl_naive(fam, stages):
+    n_range = range(1, stages + 1)
+    return NaiveTower.vector_spacers(fam.spec.L, [r_value(fam.spec.r, n) for n in n_range],
+                                     [fam.spec.s_of(n)[1] for n in n_range])
+
+
+@pytest.mark.parametrize("case", ["example", "roomy", "wmin", "vl_const", "vl_power"])
+def test_columns_match_naive_layout(case, request):
+    """Every column the naive tower reaches: offsets, the spacers the copies
+    leave, cut counts and heights. The vl families cut into more than L + 1
+    copies, so both spacer widths and the regular block occur."""
+    if case in ("example", "roomy"):
+        fam = request.getfixturevalue(f"{case}_family")
+        naive = request.getfixturevalue(f"{case}_naive")
+    elif case == "wmin":
+        fam = request.getfixturevalue("wmin_family")
+        naive = _four_cut_naive(fam, 3)
+    else:
+        rule = ConstR(4) if case == "vl_const" else PowerR(Fraction(3), Fraction(1, 2))
+        fam = VlFamily(VlSpec(2, rule))
+        naive = _vl_naive(fam, 4)
+        assert fam.cuts_between(2) > fam.spec.L + 1
+    stages = range(naive.first_stage + 1, naive.first_stage + len(naive.layers) + 1)
+    for m in stages:
+        col = build_column(fam, m)
+        assert (col.height, col.embed_offsets, col.spacer_ranges, col.cuts) == \
+            _naive_layout(naive, m)
+        assert fam.cuts_between(m - 1) == col.cuts
+
+
+class _HandLaid(Family):
+    """One transition laid out by hand: copies of the unit column at
+    ``offsets`` inside a stage-1 column of height ``top``."""
+
+    def __init__(self, offsets, top):
+        super().__init__()
+        self.offsets, self.top = offsets, top
+
+    def ensure(self, n):
+        pass
+
+    def height(self, n):
+        return self.top if n else 1
+
+    def offsets_between(self, n):
+        return self.offsets
+
+    def descriptor(self):
+        return {}
+
+    def height_profile(self, up_to):
+        return [self.height(n) for n in range(up_to + 1)]
+
+
+def test_tiling_rejects_overlapping_copies_and_copies_past_the_top():
+    good = build_column(_HandLaid((0, 2), 4), 1)
+    assert (good.spacer_ranges, good.cuts) == (((1, 2), (3, 4)), 2)
+    for offsets, top in (((0, 2, 2), 4), ((0, 3), 3), ((1, 2), 3)):
+        fam = _HandLaid(offsets, top)
+        with pytest.raises(SchemaError, match="stage 1: "):
+            check_tiling(fam.column(1), 1)
+        with pytest.raises(SchemaError, match="stage 1: "):
+            build_column(_HandLaid(offsets, top), 1)  # a fresh column cache
 
 
 def test_heights_example(example_family, vl_small):
@@ -111,6 +198,18 @@ def test_level_set_stage_cap_precedes_materialization(vl_small):
     # the cap counts from the first stage, which is 1 for vector families
     with pytest.raises(SchemaError, match=f"stage {cap + 2}: .* first stage 1"):
         LevelSet.level(vl_small, cap + 2, 0)
+
+
+def test_constraint_stage_cap_precedes_materialization():
+    """A constraint at transition t builds stage t + 1, so the stage cap
+    applies to it as to the set's own stage."""
+    cap = engine.LIFT_STAGE_CAP
+    fam = AfsParams(ConstRule(3), ConstRule(10), ConstRule(4), ConstRule(20))
+    A = LevelSet.level(fam, 1, 0)
+    assert A.constrain(cap - 1, (0,)).measure() == A.measure() / 4
+    with pytest.raises(SchemaError, match=f"stage {cap + 1}: more than LIFT_STAGE_CAP={cap}"):
+        A.constrain(cap, (0,))
+    assert len(fam._stages) == cap  # stage cap + 1 was never built
 
 
 def test_correlation_frozen_values(example_family):

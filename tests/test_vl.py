@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from cutstack import vl
 from cutstack.errors import SchemaError, UnsupportedRule
 from cutstack.tower import LevelSet, build_column, correlation
 from cutstack.vl import (ConstR, GeometricR, PowerR, PrefixR, VlFamily, VlSpec,
@@ -273,6 +274,15 @@ def test_witness_verify_and_control(witness_family):
     assert bad, "corrupted witness must show a nonzero correlation"
     with pytest.raises(SchemaError):
         witness_verify(pair, pair.valid_horizon() + 1)
+
+
+def test_scan_cap_names_count_and_cap(witness_family, monkeypatch):
+    control = WitnessPair(witness_family, 2, 2, 3, corrupted=True)
+    monkeypatch.setattr(vl, "SCAN_CAP", 1)
+    with pytest.raises(SchemaError) as exc:
+        witness_violations(control, witness_family.height(4))
+    count, rest = str(exc.value).split(" ", 1)
+    assert int(count) > 1 and rest == "candidate lags exceed SCAN_CAP=1"
 
 
 def test_sweep_probe_hits_divergent():
