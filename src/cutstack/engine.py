@@ -9,10 +9,18 @@ prescribed position difference.
 
 Those counts are computed by a top-down walk over the stages. Offsets grow so
 fast that once the partial difference leaves the window reachable by the
-remaining lower stages the branch is dead; in practice a handful of states
-survive per stage, which is what makes shifts of size 10^30 and more exact
-and cheap. Per-stage "allowed position" maps restrict a side to chosen
-subcolumn copies (used for intersections with whole subcolumn unions).
+remaining lower stages the branch is dead, which is what makes shifts of
+size 10^30 and more exact and cheap. Per-stage "allowed position" maps
+restrict a side to chosen subcolumn copies (used for intersections with
+whole subcolumn unions).
+
+The lift stage M can lie far above the first stage S whose column is taller
+than the window: with constant spacers the column top gains only the top
+spacer per stage, so M climbs about one stage per top spacer of lag. Above
+S the only word pairs that can still reach a window with lo > -height(n0)
+are the equal ones and one chain per (stage, adjacent copy pair), so the
+pair and lockstep walks start at S - 1 from those states, written in
+closed form (:func:`_seed`), and pay for the stages below S only.
 
 What a walk reads at a stage depends only on the family and the stage, so
 it lives in the family's stage table (:class:`cutstack.tower.Family`), which
@@ -88,23 +96,84 @@ def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
     return nxt
 
 
+def _seed(family, n0: int, M: int, lo: int, hi: int,
+          ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+          ) -> tuple[int, dict[int, int]]:
+    """(S, the states of a pair walk after stages M-1..S), in closed form.
+
+    S is the first stage >= n0, and above every constrained transition,
+    whose height exceeds ``hi``. Above S each letter pair is either equal
+    (the diagonal) or one chain: copy a against copy a + 1 at a stage s,
+    then the top copy against copy 0 at every stage from s - 1 down to S.
+    The diagonal adds 0 and a chain adds o_{a+1}(s) - o_a(s) - (top[s] -
+    top[S]); the stages above s are equal pairs, so the diagonal weighs
+    the cuts of stages S..M-1 multiplied and a chain those of s+1..M-1.
+
+    Why it is exact: take any other letter-pair sequence and its highest
+    unequal stage s. If it goes backwards there, its delta is at most
+    -height(n0), below ``lo``. If it skips a copy, its delta is at least
+    height(s) + height(n0) > hi. If it leaves the chain at a stage t below
+    s, its delta is at least 2 height(t) - (top[t] - top[n0]) > height(t)
+    > hi. So no other sequence reaches the window, and dropping a state
+    that cannot reach the window never changes a walk's result. The
+    states kept also pass the walk's own window test at stage S.
+
+    Returns (M, {0: 1}), the walk's own start, when there is no such S
+    below M or when ``lo`` reaches -height(n0). The first test is one
+    height comparison, so walks whose top stage is needed cost nothing.
+    """
+    if M <= n0 or family.height(M - 1) <= hi or lo <= -family.height(n0):
+        return M, {0: 1}
+    S = max([n0] + [t + 1 for t in ca] + [t + 1 for t in cb])
+    if S >= M:
+        return M, {0: 1}
+    # heights never decrease: bisect for the first stage taller than hi
+    taller = M - 1
+    while S < taller:
+        mid = (S + taller) // 2
+        if family.height(mid) > hi:
+            taller = mid
+        else:
+            S = mid + 1
+    top = family._top_sums_to(M)
+    t_hi = hi + top[S] - top[n0]
+    t_lo = lo - top[S] + top[n0]
+    cur: dict[int, int] = {}
+    ways = 1
+    for s in range(M - 1, S - 1, -1):
+        offs = family._stage_offsets(s, None)
+        shift = top[s] - top[S]
+        # copies lie height(s) apart at least, so every chain from s adds at
+        # least height(s) - shift, which never falls as s grows
+        if family.height(s) - shift <= t_hi:
+            for a, b in zip(offs, offs[1:]):
+                t = b - a - shift
+                if t <= t_hi:
+                    cur[t] = cur.get(t, 0) + ways
+        ways *= len(offs)
+    if t_lo <= 0 <= t_hi:
+        cur[0] = ways
+    return S, cur
+
+
 def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
                      constraints_a: dict[int, tuple[int, ...]] | None = None,
                      constraints_b: dict[int, tuple[int, ...]] | None = None,
                      ) -> dict[int, int]:
     """Counts of word pairs (w_a, w_b) over stages n0..M-1 with
-    pos(w_b) - pos(w_a) = delta, for every delta in [lo, hi]."""
+    pos(w_b) - pos(w_a) = delta, for every delta in [lo, hi]. The walk
+    starts below the stages :func:`_seed` answers in closed form."""
     if lo > hi:
         return {}
     ca = constraints_a or {}
     cb = constraints_b or {}
+    S, cur = _seed(family, n0, M, lo, hi, ca, cb)
     top = family._top_sums_to(M)
     base = top[n0]
-    cur: dict[int, int] = {0: 1}
-    for i in range(M - 1, n0 - 1, -1):
-        cur = _step(family, i, cur, top[i] - base, lo, hi, ca, cb)
+    for i in range(S - 1, n0 - 1, -1):
         if not cur:
             break
+        cur = _step(family, i, cur, top[i] - base, lo, hi, ca, cb)
         _check_cap(len(cur), i)
     return cur
 
@@ -142,13 +211,14 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     :func:`pair_diff_counts` after the family, (n0, M, lo, hi, constraints_a,
     constraints_b), and the result holds their final states. Each walk keeps
     its own state set, never pairs; stage i is walked by both at once, and a
-    walk sits at its zero state above its M and keeps its states below its
-    n0. After each stage a state delta_p survives only if some state delta_q
-    of the other walk has q*delta_p - p*delta_q within q*r_p + p*r_q of
-    ``gap``, and the reverse, where r_p and r_q are what the unwalked stages
-    can still add to each delta: a pair outside that slack can never meet
-    the gap. Every pair of final deltas with q*delta_p - p*delta_q in
-    ``gap`` survives, but a survivor need not have such a partner.
+    walk sits at its :func:`_seed` states above the stage it starts below
+    and keeps its states below its n0. After each stage a state delta_p
+    survives only if some state delta_q of the other walk has
+    q*delta_p - p*delta_q within q*r_p + p*r_q of ``gap``, and the reverse,
+    where r_p and r_q are what the unwalked stages can still add to each
+    delta: a pair outside that slack can never meet the gap. Every pair of
+    final deltas with q*delta_p - p*delta_q in ``gap`` survives, but a
+    survivor need not have such a partner.
     """
     n_p, M_p, lo_p, hi_p, ca_p, cb_p = walk_p
     n_q, M_q, lo_q, hi_q, ca_q, cb_q = walk_q
@@ -156,19 +226,21 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     if lo_p > hi_p or lo_q > hi_q or g_lo > g_hi:
         return {}, {}
     ca_p, cb_p, ca_q, cb_q = ca_p or {}, cb_p or {}, ca_q or {}, cb_q or {}
+    S_p, cur_p = _seed(family, n_p, M_p, lo_p, hi_p, ca_p, cb_p)
+    S_q, cur_q = _seed(family, n_q, M_q, lo_q, hi_q, ca_q, cb_q)
+    if not cur_p or not cur_q:
+        return {}, {}
     top = family._top_sums_to(max(M_p, M_q))
     base_p, base_q = top[n_p], top[n_q]
-    cur_p: dict[int, int] = {0: 1}
-    cur_q: dict[int, int] = {0: 1}
-    for i in range(max(M_p, M_q) - 1, min(n_p, n_q) - 1, -1):
-        if n_p <= i < M_p:
+    for i in range(max(S_p, S_q) - 1, min(n_p, n_q) - 1, -1):
+        if n_p <= i < S_p:
             cur_p = _step(family, i, cur_p, top[i] - base_p, lo_p, hi_p, ca_p, cb_p)
             if not cur_p:
                 return {}, {}
-        if n_q <= i < M_q:
+        if n_q <= i < S_q:
             cur_q = _step(family, i, cur_q, top[i] - base_q, lo_q, hi_q, ca_q, cb_q)
-        r_p = top[min(max(i, n_p), M_p)] - base_p
-        r_q = top[min(max(i, n_q), M_q)] - base_q
+        r_p = top[min(max(i, n_p), S_p)] - base_p
+        r_q = top[min(max(i, n_q), S_q)] - base_q
         slack = q * r_p + p * r_q
         cur_p = _partnered(cur_p, sorted(cur_q), q, p, g_lo - slack, g_hi + slack)
         cur_q = _partnered(cur_q, sorted(cur_p), p, q, -g_hi - slack, -g_lo + slack)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .afs4 import AfsParams, is_preset_rule, validate_V
-from .errors import CertificateError, PrefixExhausted
+from .errors import CertificateError, PrefixExhausted, SchemaError
 from .runs import RunSet
 from .synthesis import (SynthesisTrace, SynthesizedParams, block_partition,
                         schedule_round)
@@ -354,10 +354,14 @@ def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
     Certificates are issued only for rule-complete families: the stock preset
     and synthesized recipes. The pair is reduced by gcd first and swapped to
     p <= q if needed (products commute up to isomorphism); both adjustments
-    are flagged on the verdict.
+    are flagged on the verdict. A positive ``horizon`` adds the base-level
+    product returns up to it to the facts of a family without a
+    certificate; 0 scans nothing.
     """
     if p < 1 or q < 1:
         raise ValueError("powers must be positive (negative first power via flag)")
+    if horizon < 0:
+        raise SchemaError(f"horizon {horizon} is negative (0 scans nothing)")
     if trace is not None:
         if not isinstance(family, SynthesizedParams):
             raise CertificateError("trace supplied for a family without a recipe")

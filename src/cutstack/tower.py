@@ -606,6 +606,8 @@ def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
     merge (:func:`_lag_runs`); the two are divided by the powers in one
     pass each and intersected by one linear merge.
     """
+    if p < 1 or q < 1:
+        raise ValueError(f"powers p={p}, q={q} must be at least 1")
     if horizon <= 0 or A.is_empty() or B1.is_empty() or B2.is_empty():
         return RunSet(())
     A1, C1, walk_p = _pair_walk(A, B1, p, p * horizon)

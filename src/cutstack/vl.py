@@ -577,8 +577,11 @@ def witness_violations(pair: WitnessPair, horizon: int) -> list[int]:
     Candidates are read off the coordinate return supports (B sits inside the
     outer product, so any nonzero lag must light up every coordinate), then
     each candidate, at most ``SCAN_CAP`` of them, is settled by the exact
-    inclusion-exclusion value.
+    inclusion-exclusion value. A horizon below 1 checks no lag and is
+    refused.
     """
+    if horizon < 1:
+        raise SchemaError(f"horizon {horizon} checks no lag (need at least 1)")
     if horizon > pair.valid_horizon():
         raise SchemaError(
             f"horizon {horizon} exceeds the truncation's valid range "

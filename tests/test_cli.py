@@ -316,6 +316,25 @@ def test_witness_command(tmp_path, capsys):
     assert main(["witness", str(bad), "--k", "2", "--n", "2", "--M", "3"]) == 2
 
 
+@pytest.mark.parametrize("horizon", ["-5", "0"])
+def test_witness_refuses_a_horizon_that_checks_no_lag(tmp_path, capsys, horizon):
+    vl_path = tmp_path / "vl.json"
+    vl_path.write_text(json.dumps(VL_GEOMETRIC))
+    assert main(["witness", str(vl_path), "--k", "2", "--n", "2", "--M", "3",
+                 "--horizon", horizon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: horizon {horizon} checks no lag (need at least 1)\n"
+
+
+def test_classify_refuses_a_negative_horizon(example_file, capsys):
+    assert main(["classify", example_file, "--ratio", "1/2", "--horizon", "-1"]) == 2
+    assert capsys.readouterr().err == "error: horizon -1 is negative (0 scans nothing)\n"
+    # 0, the default, scans nothing
+    assert main(["classify", example_file, "--ratio", "1/2", "--horizon", "0"]) == 5
+    assert "product returns" not in capsys.readouterr().out
+
+
 def test_witness_violation_exits_1(tmp_path, capsys, monkeypatch):
     vl_path = tmp_path / "vl.json"
     vl_path.write_text(json.dumps(VL_GEOMETRIC))

@@ -1,0 +1,185 @@
+"""Pair and lockstep walks that start below their closed-form seed.
+
+The oracle is the walk that starts at the zero state at stage M - 1 and
+steps down through every stage, written out here with its own offset
+differences, so a wrong seed state, weight or start stage shows as a
+different walk result.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cutstack import engine, tower
+from cutstack.afs4 import AfsParams, ConstRule
+from cutstack.products import lambda_set
+from cutstack.tower import LevelSet, correlation, intersection_measure
+from cutstack.vl import ConstR, VlFamily, VlSpec
+
+
+@pytest.fixture(scope="module")
+def zero_family():
+    """No spacers but one on top: the lift climbs one stage per level of lag."""
+    return AfsParams(ConstRule(0), ConstRule(0), ConstRule(0), ConstRule(1), label="zero")
+
+
+@pytest.fixture(scope="module")
+def vl_four():
+    return VlFamily(VlSpec(1, ConstR(4)))
+
+
+# fixture -> the widest lag the cases draw; the zero-spacer family climbs one
+# stage per lag, which the full walk pays for at every stage
+REACH = {"example_family": 3000, "roomy_family": 3000, "zero_family": 300,
+         "wmin_family": 3000, "vl_small": 3000, "vl_four": 3000}
+
+
+def _full_walk(fam, n0, M, lo, hi, ca=None, cb=None):
+    """Every stage from M - 1 down to n0, from the zero state."""
+    if lo > hi:
+        return {}
+    ca, cb = ca or {}, cb or {}
+    top = fam._top_sums_to(M)
+    cur = {0: 1}
+    for i in range(M - 1, n0 - 1, -1):
+        offs = fam.offsets_between(i)
+        offs_a = [offs[u] for u in ca.get(i, range(len(offs)))]
+        offs_b = [offs[u] for u in cb.get(i, range(len(offs)))]
+        r = top[i] - top[n0]
+        nxt = {}
+        for s, ways in cur.items():
+            for a in offs_a:
+                for b in offs_b:
+                    t = s + b - a
+                    if lo - r <= t <= hi + r:
+                        nxt[t] = nxt.get(t, 0) + ways
+        cur = nxt
+        if not cur:
+            break
+    return cur
+
+
+@st.composite
+def level_sets(draw, fam):
+    """One to three short runs, sometimes restricted to some subcolumn copies."""
+    stage = draw(st.integers(fam.first_stage, fam.first_stage + 2))
+    top = min(fam.height(stage), 60)
+    starts = draw(st.sets(st.integers(0, top - 1), min_size=1, max_size=3))
+    S = LevelSet.from_ranges(fam, stage, [(s, min(s + draw(st.integers(1, 3)), top))
+                                          for s in starts])
+    if draw(st.integers(0, 2)) == 0:
+        t = draw(st.integers(stage, fam.first_stage + 3))
+        r = fam.cuts_between(t)
+        S = S.constrain(t, tuple(draw(st.sets(st.integers(0, r - 1),
+                                              min_size=1, max_size=r - 1))))
+    return S
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_pair_walk_matches_full_walk(request, data):
+    name = data.draw(st.sampled_from(sorted(REACH)))
+    fam = request.getfixturevalue(name)
+    A, B = data.draw(level_sets(fam)), data.draw(level_sets(fam))
+    lo = data.draw(st.integers(0, REACH[name]))
+    hi = lo + data.draw(st.integers(0, 40))
+    _, _, (n0, M, d_lo, d_hi, ca, cb) = tower._pair_walk(A, B, lo, hi)
+    # a taller walk than the lift needs, and windows reaching below -height(n0)
+    M += data.draw(st.integers(0, 2))
+    d_lo -= data.draw(st.sampled_from([0, 0, 1, fam.height(n0), 2 * fam.height(n0)]))
+    walk = (n0, M, d_lo, d_hi, ca, cb)
+    assert engine.pair_diff_counts(fam, *walk) == _full_walk(fam, *walk)
+
+
+def _partnered(dp, dq, p, q, gap):
+    """The states of ``dp`` with a partner in ``dq`` under the exact gap."""
+    g_lo, g_hi = gap
+    return {d: w for d, w in dp.items() if any(g_lo <= q * d - p * e <= g_hi for e in dq)}
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_lockstep_walk_matches_full_walks(request, data):
+    name = data.draw(st.sampled_from(sorted(REACH)))
+    fam = request.getfixturevalue(name)
+    A, B1, B2 = (data.draw(level_sets(fam)) for _ in range(3))
+    p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    horizon = data.draw(st.integers(1, REACH[name] // max(p, q)))
+    _, _, walk_p = tower._pair_walk(A, B1, p, p * horizon)
+    _, _, walk_q = tower._pair_walk(A, B2, q, q * horizon)
+    xp_lo, xp_hi = walk_p[2] - p, walk_p[3] - p * horizon
+    xq_lo, xq_hi = walk_q[2] - q, walk_q[3] - q * horizon
+    gap = (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo)
+    dp, dq = engine.lockstep_diff_states(fam, p, q, walk_p, walk_q, gap)
+    full_p, full_q = _full_walk(fam, *walk_p), _full_walk(fam, *walk_q)
+    # survivors are deltas of the walks; the pairs that meet the gap survive
+    # with their full counts
+    assert dp.keys() <= full_p.keys() and dq.keys() <= full_q.keys()
+    assert _partnered(dp, dq, p, q, gap) == _partnered(full_p, full_q, p, q, gap)
+    assert _partnered(dq, dp, -q, -p, gap) == _partnered(full_q, full_p, -q, -p, gap)
+
+
+def test_correlation_matches_multi_walk_after_long_climbs(example_family, zero_family):
+    """The multi walk has no seed: it walks every stage of the climb."""
+    cases = [(example_family, 1, [(0, 3), (17, 18)], 2, [(5, 9)], [1100, 1777, 2604]),
+             (zero_family, 0, [(0, 1)], 2, [(3, 7), (12, 20)], [57, 120, 211])]
+    for fam, sa, ra, sb, rb, lags in cases:
+        A, B = LevelSet.from_ranges(fam, sa, ra), LevelSet.from_ranges(fam, sb, rb)
+        for j in lags:
+            _, _, (n0, M, lo, hi, _, _) = tower._pair_walk(A, B, j, j)
+            S, _ = engine._seed(fam, n0, M, lo, hi, {}, {})
+            assert M - S >= 50, (fam.label, j, M, S)
+            want = intersection_measure([A, B], [j, 0])
+            assert correlation(A, B, j) == want and want > 0
+            assert correlation(B, A, -j) == want
+
+
+@pytest.mark.parametrize("name, stage, lags", [
+    ("example", 1, range(30, 150, 3)),
+    ("roomy", 1, range(30, 1700, 23)),
+])
+def test_seeded_correlation_matches_naive(request, name, stage, lags):
+    fam = request.getfixturevalue(f"{name}_family")
+    naive = request.getfixturevalue(f"{name}_naive")
+    a_idx, b_idx = {0, 2, 3}, {1, 4}
+    A, B = LevelSet.from_indices(fam, stage, a_idx), LevelSet.from_indices(fam, stage, b_idx)
+    seeded = 0
+    for j in lags:
+        _, _, (n0, M, lo, hi, _, _) = tower._pair_walk(A, B, j, j)
+        seeded += engine._seed(fam, n0, M, lo, hi, {}, {})[0] < M
+        assert correlation(A, B, j) == naive.correlation(stage, a_idx, stage, b_idx, j)
+        assert correlation(B, A, -j) == naive.correlation(stage, b_idx, stage, a_idx, -j)
+    assert seeded >= len(lags) // 2
+
+
+def test_lambda_set_steps_only_below_the_seeds(example_family, monkeypatch):
+    """The lockstep walk of lambda_set(3, 4) at horizon 650 lifts to stages 98
+    and 130, and the full walks took 228 steps; the seeds start both below
+    stage 4."""
+    A = LevelSet.level(example_family, 0, 0)
+    _, _, walk_p = tower._pair_walk(A, A, 3, 3 * 650)
+    _, _, walk_q = tower._pair_walk(A, A, 4, 4 * 650)
+    S_p = engine._seed(example_family, *walk_p)[0]
+    S_q = engine._seed(example_family, *walk_q)[0]
+    assert (walk_p[1], walk_q[1], S_p, S_q) == (98, 130, 4, 4)
+    steps = []
+    step = engine._step
+
+    def counted(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_step", counted)
+    got = lambda_set(example_family, 3, 4, A, 650)
+    assert len(steps) <= (S_p - 0) + (S_q - 0) == 8
+    assert got.runs == ((5, 6), (10, 13), (15, 18), (20, 21), (22, 24), (25, 26), (27, 651))
+
+
+def test_seed_falls_back_to_the_walks_own_start(example_family):
+    # the top stage is needed, a window reaching -height(n0), no stage left
+    assert engine._seed(example_family, 1, 4, 0, example_family.height(3), {}, {}) == (4, {0: 1})
+    assert engine._seed(example_family, 1, 9, -41, 10, {}, {}) == (9, {0: 1})
+    assert engine._seed(example_family, 2, 2, 0, 0, {}, {}) == (2, {0: 1})
+    # a constraint at stage 7 keeps the seed above it
+    assert engine._seed(example_family, 1, 9, 0, 10, {7: (0,)}, {})[0] == 8
+    assert engine._seed(example_family, 1, 9, 0, 10, {8: (0,)}, {}) == (9, {0: 1})

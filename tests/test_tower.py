@@ -12,8 +12,8 @@ from cutstack.errors import LiftError, SchemaError
 from cutstack.naive import SPACER, NaiveTower
 from cutstack.tower import (Family, LevelSet, apply_power, build_column, check_tiling,
                             correlation, correlation_profile, decompose, heights,
-                            intersection_measure, product_correlation,
-                            return_support, triple_correlation)
+                            intersection_measure, joint_return_set,
+                            product_correlation, return_support, triple_correlation)
 from cutstack.vl import ConstR, PowerR, VlFamily, VlSpec, r_value
 
 
@@ -411,3 +411,10 @@ def test_concurrent_column_cache():
         cols = list(pool.map(lambda n: fam.column(n % 7), range(56)))
     for col in cols:
         assert col is fam.column(col.stage)
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (-1, 2), (2, -3)])
+def test_joint_return_set_refuses_powers_below_one(example_family, p, q):
+    A = LevelSet.level(example_family, 1, 0)
+    with pytest.raises(ValueError, match=f"powers p={p}, q={q} must be at least 1"):
+        joint_return_set(A, A, A, p, q, 10)
