@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrefixExhausted, SchemaError, UnsupportedRule
-from .measure import format_rational, parse_rational
+from .measure import format_rational, parse_int, parse_rational
 from .tower import Family
 
 # ---------------------------------------------------------------------------
@@ -85,11 +85,12 @@ Rule = ConstRule | PrefixRule | HScaleRule | WMinimalRule | RatioCycleRule
 def rule_from_json(obj: dict) -> Rule:
     kind = obj.get("kind")
     if kind == "const":
-        return ConstRule(int(obj["value"]))
+        return ConstRule(parse_int(obj["value"]))
     if kind == "prefix":
-        return PrefixRule(tuple(int(v) for v in obj["values"]))
+        return PrefixRule(tuple(map(parse_int, obj["values"])))
     if kind == "h_scale":
-        rule = HScaleRule(int(obj["num"]), int(obj.get("den", 1)), int(obj.get("plus", 0)))
+        rule = HScaleRule(parse_int(obj["num"]), parse_int(obj.get("den", 1)),
+                          parse_int(obj.get("plus", 0)))
         if rule.den < 1:
             raise ValueError(f"h_scale den must be positive, got {rule.den}")
         return rule
@@ -134,6 +135,11 @@ class AfsParams(Family):
                  label: str = "afs4"):
         super().__init__()
         self.rules = {"a": rule_a, "b": rule_b, "c": rule_c, "d": rule_d}
+        for name, rule in self.rules.items():
+            if isinstance(rule, WMinimalRule) and name not in "bd":
+                raise SchemaError(f"w_minimal may drive only b and d, not sequence {name}")
+            if isinstance(rule, RatioCycleRule) and name != "c":
+                raise SchemaError(f"ratio_cycle may drive only c, not sequence {name}")
         self.label = label
         self._H = [1]
         self._h = [1]
@@ -156,8 +162,6 @@ class AfsParams(Family):
         elif isinstance(rule, HScaleRule):
             v = _ceil_frac(rule.num * h, rule.den) + rule.plus
         elif isinstance(rule, RatioCycleRule):
-            if name != "c":
-                raise UnsupportedRule("ratio_cycle is only meaningful for the c sequence")
             assert p_n is not None
             ratio = rule.ratios[n % len(rule.ratios)]
             q_num = p_n * ratio.denominator
@@ -165,8 +169,6 @@ class AfsParams(Family):
                 raise SchemaError(
                     f"p_n = {p_n} not divisible for target ratio {ratio}", stage=n)
             v = q_num // ratio.numerator - H
-        elif isinstance(rule, WMinimalRule):
-            raise UnsupportedRule("w_minimal is resolved inline")  # pragma: no cover
         else:  # pragma: no cover
             raise UnsupportedRule(f"unhandled rule {rule!r}")
         if v < 0:

@@ -58,18 +58,16 @@ def _parse_ratio_list(items: list[str]) -> tuple[Fraction, ...]:
 
 
 def cmd_synthesize(args) -> int:
-    ratios = _parse_ratio_list(args.R or [])
-    complement = _parse_ratio_list(args.S or [])
-    if args.mode == "three-way":
-        subset = _parse_ratio_list(args.R1 or [])
-        spec = DirectionSpec(ratios=ratios, complement=complement,
-                             ergodic_subset=subset,
-                             complement_complete=args.S_complete)
-        family, trace = synthesize_three_way(spec, args.stages)
-    else:
-        spec = DirectionSpec(ratios=ratios, complement=complement,
-                             complement_complete=args.S_complete)
-        family, trace = synthesize_R(spec, args.stages)
+    three_way = args.mode == "three-way"
+    if args.R1 and not three_way:
+        raise CutstackError("--R1 applies only with --mode three-way")
+    if args.stages < 0:
+        raise CutstackError(f"--stages {args.stages} is below 0, the first stage")
+    spec = DirectionSpec(ratios=_parse_ratio_list(args.R or []),
+                         complement=_parse_ratio_list(args.S or []),
+                         ergodic_subset=_parse_ratio_list(args.R1 or []) if three_way else None,
+                         complement_complete=args.S_complete)
+    family, trace = (synthesize_three_way if three_way else synthesize_R)(spec, args.stages)
     save_family(family, args.out)
     report = Report(f"synthesize mode={args.mode} stages={args.stages}", family)
     for row in trace.rows:

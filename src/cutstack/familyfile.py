@@ -16,7 +16,7 @@ from pathlib import Path
 from . import vl as vlmod
 from .afs4 import AfsParams, rule_from_json
 from .errors import SchemaError
-from .measure import format_rational, parse_reduced_unit_fraction
+from .measure import format_rational, parse_int, parse_reduced_unit_fraction
 from .synthesis import DirectionSpec, SynthesizedParams
 from .tower import Family
 
@@ -65,10 +65,16 @@ def _ratios(items) -> tuple[Fraction, ...]:
     return tuple(parse_reduced_unit_fraction(s) for s in items)
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def family_from_json(doc: dict) -> Family:
     if not isinstance(doc, dict):
         raise SchemaError("family file must be a JSON object")
-    version = doc.get("format_version")
+    version = _field(doc, "format_version", parse_int)
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
@@ -79,7 +85,8 @@ def family_from_json(doc: dict) -> Family:
                 ratios=_field(syn, "ratios", _ratios, where="synthesis."),
                 complement=_field(syn, "complement", _ratios, (), "synthesis."),
                 ergodic_subset=_field(syn, "ergodic_subset", _ratios, None, "synthesis."),
-                complement_complete=bool(syn.get("complement_complete", False)),
+                complement_complete=_field(syn, "complement_complete", _boolean, False,
+                                           "synthesis."),
             )
             return SynthesizedParams(spec, _field(syn, "mode", str, where="synthesis."))
         rules = doc.get("rules")
@@ -92,11 +99,11 @@ def family_from_json(doc: dict) -> Family:
         )
     if kind == "vl":
         spec = vlmod.VlSpec(
-            L=_field(doc, "L", int),
+            L=_field(doc, "L", parse_int),
             r=_field(doc, "r", lambda v: vlmod.r_rule_from_json(_object(v))),
             vector_order=_field(doc, "vector_order",
-                                lambda vs: tuple(tuple(int(u) for u in v) for v in vs), None),
-            horizon=_field(doc, "horizon", int, None),
+                                lambda vs: tuple(tuple(map(parse_int, v)) for v in vs), None),
+            horizon=_field(doc, "horizon", parse_int, None),
             label=doc.get("label", "vl"),
         )
         return vlmod.VlFamily(spec)

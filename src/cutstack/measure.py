@@ -9,6 +9,7 @@ always present (``"3/1"``, never ``"3"``).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 MeasureValue = Fraction
@@ -27,6 +28,24 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"rational {text!r} has a zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_int(value) -> int:
+    """A JSON integer or a decimal string (``"-12"``) as an int.
+
+    Family files write integers that may exceed doubles as decimal strings.
+    A bool, a float or any other string is refused, never rounded.
+    """
+    if type(value) is int:  # JSON true and false load as bool, a subclass
+        return value
+    if not isinstance(value, str):
+        raise TypeError(f"expected an integer or a decimal string, got {value!r}")
+    if not _DECIMAL.fullmatch(value):
+        raise ValueError(f"invalid literal for a decimal integer: {value!r}")
+    return int(value)
 
 
 def parse_reduced_unit_fraction(text: str) -> Fraction:

@@ -134,11 +134,9 @@ def lambda_set(family, p: int, q: int, A: LevelSet, horizon: int,
     the proportionality gap |q delta_p - p delta_q|, so the cost is set by
     the surviving states, not by the support sizes, and the horizon may be
     astronomically large. ``family`` is unused (the sets carry theirs).
-    Partitioning the i-range across workers and merging by union is safe;
-    everything here is pure.
+    The powers must be p, q >= 1 (a ValueError otherwise). There is no lower
+    lag bound: a call always covers every i up to ``horizon``.
     """
-    if horizon <= 0 or p < 1 or q < 1:
-        return RunSet(())
     B1, B2 = targets if targets is not None else (A, A)
     return joint_return_set(A, B1, B2, p, q, horizon)
 
@@ -148,8 +146,9 @@ def triple_return_set(family, p: int, q: int, A: LevelSet, horizon: int) -> RunS
 
     Candidates come from the pairwise product return set, computed by the
     gap-pruned lockstep walk of :func:`lambda_set`, then each candidate is
-    confirmed by an exact three-way intersection. The walk's cost is set by
-    its surviving states, so emptiness conclusions are cheap at any horizon;
+    confirmed by an exact three-way intersection. The powers must be
+    p, q >= 1 (a ValueError otherwise). The walk's cost is set by its
+    surviving states, so emptiness conclusions are cheap at any horizon;
     the refinement costs one intersection walk per candidate, for at most
     ``REFINE_CAP`` candidates.
     """

@@ -257,6 +257,8 @@ class SynthesizedParams(AfsParams):
     def __init__(self, spec: DirectionSpec, mode: str):
         if mode not in ("ergodic-set", "three-way"):
             raise SchemaError(f"unknown synthesis mode {mode!r}")
+        if mode == "three-way" and spec.ergodic_subset is None:
+            raise SchemaError("three-way synthesis needs an explicit ergodic subset")
         super().__init__(HScaleRule(3), WMinimalRule(), HScaleRule(3, plus=1),
                          WMinimalRule(), label=f"synthesized-{mode}")
         self.spec = spec
@@ -312,20 +314,20 @@ class SynthesizedParams(AfsParams):
         return set(self.spec.ratios) | {Fraction(1)}
 
 
-def synthesize_R(spec: DirectionSpec, up_to: int) -> tuple[SynthesizedParams, SynthesisTrace]:
-    """Family realizing ergodicity exactly on the enumerated ratio set."""
-    fam = SynthesizedParams(spec, "ergodic-set")
+def _synthesize(spec: DirectionSpec, mode: str,
+                up_to: int) -> tuple[SynthesizedParams, SynthesisTrace]:
+    fam = SynthesizedParams(spec, mode)
     fam.ensure(up_to + 1)
     fam.trace.recheck(fam)
     return fam, fam.trace
+
+
+def synthesize_R(spec: DirectionSpec, up_to: int) -> tuple[SynthesizedParams, SynthesisTrace]:
+    """Family realizing ergodicity exactly on the enumerated ratio set."""
+    return _synthesize(spec, "ergodic-set", up_to)
 
 
 def synthesize_three_way(spec: DirectionSpec, up_to: int) -> tuple[SynthesizedParams, SynthesisTrace]:
     """Three-regime family: ergodic on R1, conservative-not-ergodic on R2 - R1,
     not conservative outside R2 (over the enumerated complement)."""
-    if spec.ergodic_subset is None:
-        raise SchemaError("three-way synthesis needs an explicit ergodic subset")
-    fam = SynthesizedParams(spec, "three-way")
-    fam.ensure(up_to + 1)
-    fam.trace.recheck(fam)
-    return fam, fam.trace
+    return _synthesize(spec, "three-way", up_to)

@@ -345,22 +345,31 @@ def apply_power(A: LevelSet, j: int) -> LevelSet:
 # Exact correlations
 
 
-def _common_stage(sets: list[LevelSet]) -> tuple[int, list[LevelSet]]:
+def _walk(sets: list[LevelSet], lag_ranges: list[tuple[int, int]]):
+    """The engine walk that covers T^{j_t} sets[t] for every shift j_t in
+    the inclusive range ``lag_ranges[t]`` (all j_t >= 0).
+
+    Returns the sets at their common stage n0 (lower-stage sets lifted
+    explicitly), n0, the lift stage M valid for the largest shifted index
+    and above every constrained transition, one box per operand t >= 1, and
+    each lifted set's constraint map. Box t holds every word-position
+    difference pos(w_t) - pos(w_0) = j_0 - j_t + a_0 - a_t at which a level
+    a_0 of the first set, shifted by j_0, meets a level a_t of set t,
+    shifted by j_t.
+    """
     fam = sets[0].family
-    for s in sets:
-        if s.family is not fam:
-            raise ValueError("level sets belong to different families")
+    if any(s.family is not fam for s in sets):
+        raise ValueError("level sets belong to different families")
     n0 = max(s.stage for s in sets)
-    return n0, [decompose(s, n0) if s.stage < n0 else s for s in sets]
-
-
-def _constraint_floor(sets: list[LevelSet]) -> int:
-    """Smallest lift stage whose word range covers every constrained transition."""
-    floor = 0
-    for s in sets:
-        for t, _ in s.letter_constraints:
-            floor = max(floor, t + 1)
-    return floor
+    lifted = [decompose(s, n0) if s.stage < n0 else s for s in sets]
+    spans = [rn.bounds(s.runs) for s in lifted]
+    need = max([b + hi for (_, b), (_, hi) in zip(spans, lag_ranges)])
+    floor = max([t + 1 for s in lifted for t, _ in s.letter_constraints], default=0)
+    M = max(engine.minimal_valid_stage(fam, n0, need), floor)
+    (lo0, hi0), (a_lo, a_hi) = lag_ranges[0], spans[0]
+    boxes = [(lo0 - hi + a_lo - b_hi, hi0 - lo + a_hi - b_lo)
+             for (b_lo, b_hi), (lo, hi) in zip(spans[1:], lag_ranges[1:])]
+    return lifted, n0, M, boxes, [dict(s.letter_constraints) for s in lifted]
 
 
 def _pair_walk(A: LevelSet, B: LevelSet, lo: int, hi: int):
@@ -368,13 +377,8 @@ def _pair_walk(A: LevelSet, B: LevelSet, lo: int, hi: int):
     lags j in [lo, hi] (0 <= lo): the arguments of
     :func:`engine.pair_diff_counts` after the family, with the lift stage
     valid for ``hi`` and the window of every delta = j + a - b."""
-    n0, (A0, B0) = _common_stage([A, B])
-    M = max(engine.minimal_valid_stage(A.family, n0, A0.max_index() + hi),
-            _constraint_floor([A0, B0]))
-    walk = (n0, M, lo + A0.min_index() - B0.max_index(),
-            hi + A0.max_index() - B0.min_index(),
-            dict(A0.letter_constraints), dict(B0.letter_constraints))
-    return A0, B0, walk
+    (A0, B0), n0, M, [(d_lo, d_hi)], (ca, cb) = _walk([A, B], [(lo, hi), (0, 0)])
+    return A0, B0, (n0, M, d_lo, d_hi, ca, cb)
 
 
 def correlation(A: LevelSet, B: LevelSet, j: int) -> Fraction:
@@ -477,19 +481,10 @@ def intersection_measure(sets: list[LevelSet], shifts: list[int]) -> Fraction:
         return Fraction(0)
     base = -min(shifts)
     shifts = [j + base for j in shifts]  # measure preserved under a common shift
-    n0, lifted = _common_stage(sets)
+    lifted, n0, M, boxes, cons = _walk(sets, [(j, j) for j in shifts])
     fam = lifted[0].family
-    need = max(s.max_index() + j for s, j in zip(lifted, shifts))
-    M = max(engine.minimal_valid_stage(fam, n0, need), _constraint_floor(lifted))
-    j0 = shifts[0]
-    a0 = lifted[0]
-    boxes = []
-    for t in range(1, len(lifted)):
-        at, jt = lifted[t], shifts[t]
-        boxes.append((j0 - jt + a0.min_index() - at.max_index(),
-                      j0 - jt + a0.max_index() - at.min_index()))
-    dc = engine.multi_diff_counts(fam, n0, M, boxes,
-                                  [dict(s.letter_constraints) for s in lifted])
+    j0, a0 = shifts[0], lifted[0]
+    dc = engine.multi_diff_counts(fam, n0, M, boxes, cons)
     hits = 0
     for deltas, ways in dc.items():
         cur = a0.runs

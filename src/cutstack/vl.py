@@ -22,7 +22,7 @@ from itertools import combinations
 
 from . import engine
 from .errors import SchemaError, UnsupportedRule
-from .measure import format_rational
+from .measure import format_rational, parse_int, parse_rational
 from .synthesis import block_partition, block_position
 from .tower import (Family, LevelSet, correlation, intersection_measure,
                     product_correlation, return_support)
@@ -137,14 +137,13 @@ RRule = ConstR | PowerR | GeometricR | PrefixR
 def r_rule_from_json(obj: dict) -> RRule:
     kind = obj.get("kind")
     if kind == "const":
-        return ConstR(int(obj["value"]))
+        return ConstR(parse_int(obj["value"]))
     if kind == "power":
-        from .measure import parse_rational
         return PowerR(parse_rational(obj["c"]), parse_rational(obj["alpha"]))
     if kind == "geometric":
-        return GeometricR(int(obj["c"]), int(obj["beta"]))
+        return GeometricR(parse_int(obj["c"]), parse_int(obj["beta"]))
     if kind == "prefix":
-        return PrefixR(tuple(int(v) for v in obj["values"]))
+        return PrefixR(tuple(map(parse_int, obj["values"])))
     raise UnsupportedRule(f"unknown cut rule kind {kind!r}")
 
 

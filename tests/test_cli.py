@@ -118,6 +118,28 @@ def test_build_malformed_rule(tmp_path, capsys, rules_a, field):
     assert err.startswith("error: field 'rules.a'") and field in err
 
 
+THREE_WAY_NO_SUBSET = {
+    "format_version": 1, "kind": "afs4",
+    "synthesis": {"mode": "three-way", "ratios": ["1/2", "1/3"], "ergodic_subset": None,
+                  "complement": [], "complement_complete": False},
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(EXAMPLE, rules=dict(EXAMPLE["rules"], a={"kind": "w_minimal"})),
+     "w_minimal may drive only b and d, not sequence a"),
+    (dict(EXAMPLE, rules=dict(EXAMPLE["rules"], b={"kind": "ratio_cycle", "ratios": ["1/2"]})),
+     "ratio_cycle may drive only c, not sequence b"),
+    (THREE_WAY_NO_SUBSET, "three-way synthesis needs an explicit ergodic subset"),
+])
+def test_build_refuses_a_rule_the_family_cannot_apply(tmp_path, capsys, doc, message):
+    """A misplaced rule used to fail only when a stage evaluated it (w_minimal
+    on a printed "resolved inline"), and a three-way recipe without an ergodic
+    subset loaded and made every target ergodic."""
+    assert main(["build", _write(tmp_path, "bad.json", doc), "--stage", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_build_rejects_stage_below_first(example_file, tmp_path, capsys):
     assert main(["build", example_file, "--stage", "-3"]) == 2
     assert "below the family's first stage 0" in capsys.readouterr().err
@@ -181,6 +203,17 @@ def test_synthesize_insufficient_complement(tmp_path, capsys):
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
     assert "complement entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--stages", "-3"], "--stages -3 is below 0"),
+    (["--stages", "4", "--R1", "1/2"], "--R1 applies only with --mode three-way"),
+])
+def test_synthesize_refuses_a_request_that_does_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    assert main(["synthesize", "--R", "1/2", "--out", str(out)] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classify_exit_codes(tmp_path, capsys):

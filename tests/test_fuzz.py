@@ -89,7 +89,37 @@ def _with_power(c, alpha):
     return dict(TEMPLATES[4], r={"kind": "power", "c": c, "alpha": alpha})
 
 
+def _with(template, value, *path):
+    doc = copy.deepcopy(TEMPLATES[template])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Numbers and booleans of the wrong JSON type (int() read 3.7 as 3 and true as
+# 1, bool() read "false" as True), with the field each error must name.
+COERCED = [
+    (_with(0, 3.7, "rules", "a", "value"), "rules.a"),
+    (_with(0, True, "rules", "b", "value"), "rules.b"),
+    (_with(1, 2.5, "rules", "a", "num"), "rules.a"),
+    (_with(3, 2.9, "L"), "L"),
+    (_with(4, 4.0, "horizon"), "horizon"),
+    (_with(4, [[True], [2]], "vector_order"), "vector_order"),
+    (_with(2, "false", "synthesis", "complement_complete"), "synthesis.complement_complete"),
+    (_with(0, True, "format_version"), "format_version"),
+    (_with(3, 1.0, "format_version"), "format_version"),
+]
+
+
 @given(doc=documents())
+@example(doc=COERCED[0][0])
+@example(doc=COERCED[1][0])
+@example(doc=COERCED[3][0])
+@example(doc=COERCED[6][0])
+@example(doc=COERCED[7][0])
+@example(doc=COERCED[8][0])
 @example(doc=_with_c({"kind": "ratio_cycle", "ratios": []}))
 @example(doc=_with_c({"kind": "ratio_cycle", "ratios": ["0/1"]}))
 @example(doc=dict(TEMPLATES[3], L=math.inf))
@@ -116,6 +146,14 @@ def test_power_rule_needs_positive_c_and_nonnegative_alpha(c, alpha, tmp_path, c
     with deadline(5):
         assert cli.main(["build", str(path), "--stage", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: field 'r': power rule needs ")
+
+
+@pytest.mark.parametrize("doc, field", COERCED)
+def test_family_numbers_and_booleans_keep_their_json_type(doc, field, tmp_path, capsys):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["build", str(path), "--stage", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
 
 
 @st.composite

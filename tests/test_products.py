@@ -194,6 +194,17 @@ def test_lambda_set_lifts_each_coordinate_for_its_power(example_family):
         assert len(lam) == 5 and lam == _oracle_lambda(p, q, A, 100)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("query", [lambda_set, triple_return_set])
+def test_return_sets_refuse_powers_below_one(example_family, query, p):
+    """T^0 x T^2 has returns on this set (i = 22: return_support(A, A, 2, 200)
+    starts at 44); both sets used to answer p < 1 with the empty set."""
+    A = LevelSet.level(example_family, 1, 0)
+    assert return_support(A, A, 2, 200).runs[0] == (44, 46)
+    with pytest.raises(ValueError, match=f"powers p={p}, q=2 must be at least 1"):
+        query(example_family, p, 2, A, 100)
+
+
 def test_triple_return_set_matches_support_oracle(example_family, roomy_family):
     def R(*idx):
         return LevelSet.from_indices(roomy_family, 1, idx)

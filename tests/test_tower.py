@@ -418,3 +418,27 @@ def test_joint_return_set_refuses_powers_below_one(example_family, p, q):
     A = LevelSet.level(example_family, 1, 0)
     with pytest.raises(ValueError, match=f"powers p={p}, q={q} must be at least 1"):
         joint_return_set(A, A, A, p, q, 10)
+
+
+@pytest.mark.parametrize("fixture, naive_fixture", [("example_family", "example_naive"),
+                                                    ("vl_small", "vl_small_naive")])
+def test_three_way_intersection_across_stages_matches_naive(request, fixture, naive_fixture):
+    """Three operands at three different stages: the two lower ones are lifted
+    to the highest before the walk's boxes are set up."""
+    fam = request.getfixturevalue(fixture)
+    naive = request.getfixturevalue(naive_fixture)
+    rng = random.Random(17)
+    positive = 0
+    for _ in range(25):
+        stages = rng.sample(range(fam.first_stage, fam.first_stage + 3), 3)
+        idx = [set(rng.sample(range(fam.height(s)), min(40, fam.height(s)))) for s in stages]
+        shifts = [rng.randint(-30, 30) for _ in stages]
+        got = intersection_measure(
+            [LevelSet.from_indices(fam, s, i) for s, i in zip(stages, idx)], shifts)
+        shifts = [j - min(shifts) for j in shifts]
+        m = max(naive.valid_shift_stage(s, i, j) for s, i, j in zip(stages, idx, shifts))
+        hit = set.intersection(*({x + j for x in naive.lift_indices(s, i, m)}
+                                 for s, i, j in zip(stages, idx, shifts)))
+        assert got == len(hit) * naive.level_width(m), (stages, idx, shifts)
+        positive += got > 0
+    assert positive >= 5
