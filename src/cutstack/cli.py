@@ -21,7 +21,7 @@ from . import vl as vlmod
 from .afs4 import AfsParams, validate_V
 from .errors import CertificateError, CutstackError
 from .familyfile import Report, csv_text, load_family, save_family
-from .measure import format_rational, parse_reduced_unit_fraction
+from .measure import format_rational, parse_reduced_unit_fraction, ratio_parts
 from .products import classify
 from .synthesis import DirectionSpec, synthesize_R, synthesize_three_way
 from .tower import LevelSet, build_column, correlation_profile
@@ -87,8 +87,9 @@ def cmd_synthesize(args) -> int:
 
 def _parse_pair(text: str) -> tuple[int, int]:
     try:
-        p_s, q_s = text.split("/")
-        p, q = int(p_s), int(q_s)
+        p, q = ratio_parts(text)
+        if q is None:
+            raise ValueError
     except ValueError:
         raise ValueError(f"--ratio {text!r}: expected p/q with integers p and q") from None
     if p < 1 or q < 1:

@@ -10,12 +10,13 @@ a final ``RESULT=`` line; exact rationals are never rounded.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import vl as vlmod
 from .afs4 import AfsParams, rule_from_json
-from .errors import SchemaError
+from .errors import CutstackError, SchemaError
 from .measure import format_rational, parse_int, parse_reduced_unit_fraction
 from .synthesis import DirectionSpec, SynthesizedParams
 from .tower import Family
@@ -65,6 +66,12 @@ def _ratios(items) -> tuple[Fraction, ...]:
     return tuple(parse_reduced_unit_fraction(s) for s in items)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -95,7 +102,7 @@ def family_from_json(doc: dict) -> Family:
         return AfsParams(
             *(_field(rules, k, lambda v: rule_from_json(_object(v)), where="rules.")
               for k in "abcd"),
-            label=doc.get("label", "afs4"),
+            label=_field(doc, "label", _string, "afs4"),
         )
     if kind == "vl":
         spec = vlmod.VlSpec(
@@ -104,7 +111,7 @@ def family_from_json(doc: dict) -> Family:
             vector_order=_field(doc, "vector_order",
                                 lambda vs: tuple(tuple(map(parse_int, v)) for v in vs), None),
             horizon=_field(doc, "horizon", parse_int, None),
-            label=doc.get("label", "vl"),
+            label=_field(doc, "label", _string, "vl"),
         )
         return vlmod.VlFamily(spec)
     raise SchemaError(f"unknown family kind {kind!r}")
@@ -143,7 +150,12 @@ class Report:
     def add(self, key: str, value) -> None:
         if isinstance(value, Fraction):
             value = format_rational(value)
-        self.lines.append(f"{key}={value}")
+        try:
+            self.lines.append(f"{key}={value}")
+        except ValueError:  # str() refuses an integer past the interpreter's digit limit
+            raise CutstackError(f"report value {key} holds an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits, too long to "
+                                "print") from None
 
     def finish(self, result: str) -> str:
         return "\n".join(self.lines + [f"RESULT={result}"]) + "\n"

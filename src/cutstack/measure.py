@@ -19,18 +19,8 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or a bare integer) into an exact Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"rational {text!r} has a zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
 _DECIMAL = re.compile(r"-?[0-9]+")
+_RATIO = re.compile(f"({_DECIMAL.pattern})(?:/({_DECIMAL.pattern}))?")
 
 
 def parse_int(value) -> int:
@@ -48,17 +38,38 @@ def parse_int(value) -> int:
     return int(value)
 
 
+def ratio_parts(text: str) -> tuple[int, int | None]:
+    """The integers of ``"p/q"``, or of a bare ``"p"`` with q None.
+
+    Each part is a decimal string as :func:`parse_int` reads it; spaces,
+    plus signs, underscores and every other form are refused.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"expected a p/q string, got {text!r}")
+    match = _RATIO.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid literal for p/q: {text!r}")
+    num, den = match.groups()
+    return int(num), None if den is None else int(den)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"p/q"`` (or a bare integer) into an exact Fraction."""
+    num, den = ratio_parts(text)
+    if den == 0:
+        raise ValueError(f"rational {text!r} has a zero denominator")
+    return Fraction(num, 1 if den is None else den)
+
+
 def parse_reduced_unit_fraction(text: str) -> Fraction:
     """Parse a ratio that must be given in lowest terms and lie in (0, 1).
 
     Raises ValueError otherwise; used for direction-set entries where a
     non-reduced or out-of-range input almost certainly means a typo.
     """
-    text = text.strip()
-    if "/" not in text:
+    num, den = ratio_parts(text)
+    if den is None:
         raise ValueError(f"ratio {text!r} must be written as p/q")
-    num_s, den_s = text.split("/", 1)
-    num, den = int(num_s), int(den_s)
     if den <= 0 or num <= 0:
         raise ValueError(f"ratio {text!r} must have positive numerator and denominator")
     f = Fraction(num, den)

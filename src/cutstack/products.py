@@ -13,6 +13,7 @@ Anything else is prefix evidence and the verdict stays unknown-at-horizon.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -38,6 +39,12 @@ EXIT_CODES = {REGIME_ERGODIC: 0, REGIME_CONS_NOT_ERG: 3,
 # triple_return_set settles each candidate lag with its own walk; more
 # candidates than this are refused.
 REFINE_CAP = 100_000
+
+# Last stage of the fixed prefix scans: the evidence of an uncertified
+# classification, the membership evidence and the non-return base stage.
+_SCAN_TO = 12
+# Distance from p/q within which a stage ratio counts as near it.
+_NEAR = Fraction(1, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +169,26 @@ def triple_return_set(family, p: int, q: int, A: LevelSet, horizon: int) -> RunS
 
 
 def nonconservativity_base_stage(family: AfsParams, p: int, q: int,
-                                 scan_to: int = 12,
                                  allow_exact: bool = False) -> int:
     """Base stage N of the product non-return argument for p < q.
 
-    N must exceed q, satisfy (N - 1)/N > p/q, and every later materialized
-    stage must keep p_n > 2 h_n with discrepancy above (p + q) h_n -- except
+    N must exceed q, satisfy (N - 1)/N > p/q, and every later stage up to
+    ``_SCAN_TO`` must keep p_n > 2 h_n and fail the gap condition -- except
     that with ``allow_exact`` (the not-ergodic variant) stages with exactly
     proportional (p_n, q_n) are admissible. The returned N is the smallest
     one compatible with the scanned prefix.
     """
     if not 1 <= p < q:
-        raise ValueError("requires p < q")
+        raise ValueError(f"powers p={p}, q={q} must satisfy 1 <= p < q")
     N = max(q + 1, q // (q - p) + 1)
-    family.ensure(scan_to + 1)
-    for n in range(scan_to + 1):
+    family.ensure(_SCAN_TO + 1)
+    for n in range(_SCAN_TO + 1):
         sp = family.params(n)
-        disc = abs(p * sp.q - q * sp.p)
-        small_gap = disc <= (p + q) * family.marker(n)
-        if allow_exact and disc == 0:
-            small_gap = False
-        bad = small_gap or sp.p <= 2 * family.marker(n)
-        if bad and n >= N:
+        small_gap = gap_condition(family, n, p, q) and not (
+            allow_exact and p * sp.q == q * sp.p)
+        if (small_gap or sp.p <= 2 * family.marker(n)) and n >= N:
             N = n + 1
-    if N > scan_to:
+    if N > _SCAN_TO:
         raise CertificateError("no admissible base stage within the scanned prefix")
     return N
 
@@ -199,28 +202,25 @@ NON_MEMBER = "non-member"
 UNKNOWN = "unknown"
 
 
-def limit_ratio_membership(family: AfsParams, p: int, q: int,
-                           eps: Fraction | None = None,
-                           prefix: int = 12) -> tuple[str, str]:
+def limit_ratio_membership(family: AfsParams, p: int, q: int) -> tuple[str, str]:
     """Membership of p/q in the accumulation set of the stage ratios p_n/q_n.
 
     Exact for families whose rules declare their accumulation set; otherwise
-    reports prefix evidence only (whether the ratio is approached within eps
-    along the materialized prefix) and stays unknown.
+    reports prefix evidence only (the stages up to ``_SCAN_TO`` whose ratio
+    lies within ``_NEAR`` of p/q) and stays unknown. The powers must satisfy
+    1 <= p <= q (a ValueError otherwise).
     """
-    if p > q:
-        raise ValueError("requires p <= q")
+    if not 1 <= p <= q:
+        raise ValueError(f"powers p={p}, q={q} must satisfy 1 <= p <= q")
     ratio = Fraction(p, q)
     acc = family.accumulation_ratios()
     if acc is not None:
         verdict = MEMBER if ratio in acc else NON_MEMBER
         return verdict, f"declared accumulation set {sorted(acc)}"
-    if eps is None:
-        eps = Fraction(1, 100)
-    family.ensure(prefix + 1)
-    close = [n for n in range(prefix + 1)
-             if abs(Fraction(family.params(n).p, family.params(n).q) - ratio) < eps]
-    return UNKNOWN, f"stages within {eps} of {ratio} in prefix: {close}"
+    family.ensure(_SCAN_TO + 1)
+    close = [n for n in range(_SCAN_TO + 1)
+             if abs(Fraction(family.params(n).p, family.params(n).q) - ratio) < _NEAR]
+    return UNKNOWN, f"stages within {_NEAR} of {ratio} in prefix: {close}"
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +232,17 @@ class Verdict:
     p: int
     q: int
     regime: str
-    basis: str  # "certificate" | "prefix-evidence"
     reduced: tuple[int, int]
     swapped: bool = False
     negative_first: bool = False
     threshold: int | None = None
     exceptional_stages: tuple[int, ...] = ()
     facts: tuple[str, ...] = ()
+
+    @property
+    def basis(self) -> str:
+        """"certificate", or "prefix-evidence" for an unknown regime."""
+        return "prefix-evidence" if self.regime == REGIME_UNKNOWN else "certificate"
 
     @property
     def exit_code(self) -> int:
@@ -268,39 +272,21 @@ def _preset_gap_threshold(p: int, q: int) -> int:
     return (2 * p + q) // (q - p) + 1
 
 
-def _preset_not_conservative(fam: AfsParams, p: int, q: int) -> tuple[int, list[int], list[str]]:
-    """Threshold (:func:`_preset_gap_threshold`) + exceptional stages for the
-    preset rule at reduced p < q."""
-    threshold = _preset_gap_threshold(p, q)
-    scan_to = max(threshold + 4, 8)
-    fam.ensure(scan_to + 1)
-    exceptional = [n for n in range(threshold) if gap_condition(fam, n, p, q)]
-    facts = [f"rule: q_n = p_n + 1 and p_n >= n h_n at every stage",
-             f"gap discrepancy exceeds (p+q) h_n for all n >= {threshold}"]
-    for n in range(threshold, scan_to + 1):
-        if gap_condition(fam, n, p, q):
-            raise CertificateError(f"stage {n}: preset gap certificate failed re-check")
-        sp = fam.params(n)
-        if sp.p < n * fam.marker(n) or sp.q != sp.p + 1:
-            raise CertificateError(f"stage {n}: preset rule shape failed re-check")
-    return threshold, exceptional, facts
+def _synth_not_conservative_threshold(fam: SynthesizedParams, v: int) -> int:
+    """Last stage of a target visit (i, j) with i + j <= v, given that p/q
+    is the v-th enumerated complement ratio.
 
-
-def _synth_not_conservative_threshold(fam: SynthesizedParams, p: int, q: int,
-                                      v: int) -> int:
-    """Stage beyond which every stage's discrepancy beats (p + q) h_n, given
-    that p/q is the v-th enumerated complement ratio.
-
-    Target stages with i + j > v inherit it from the separation inequality
-    (q_n delta > 2 h_n + k + l with delta <= |r_i - p/q|); the preset filler
-    stages from the gap growth of the preset rule.
+    Every later target stage has i + j > v and so a discrepancy above
+    (p + q) h_n from the separation inequality (q_n delta > 2 h_n + k + l
+    with delta <= |r_i - p/q|); the preset filler stages are covered by
+    :func:`_synth_cross_target_threshold`, which the caller also applies.
     """
     n_bar = 0
     for i in range(1, len(fam.spec.ratios) + 1):
         for j in range(1, v + 1):
             if i + j <= v:
                 n_bar = max(n_bar, block_partition(i, j))
-    return max(n_bar, _preset_gap_threshold(p, q))
+    return n_bar
 
 
 def _synth_cross_target_threshold(fam: SynthesizedParams, p: int, q: int) -> int:
@@ -311,7 +297,8 @@ def _synth_cross_target_threshold(fam: SynthesizedParams, p: int, q: int) -> int
     |p q_n - q p_n| >= t j - (q k + p l) with t j >= q_n / Q'' >= n h_n / Q'';
     k + l is at most the schedule round of the visit, which is at most the
     round of n. The bound clears once n >= Q''(p + q + 1) and h_n exceeds
-    q times that round bound.
+    q times that round bound. The preset filler stages clear it from the
+    preset rule's gap threshold.
     """
     out = _round_bound_stage(q)
     for r in fam.spec.ratios:
@@ -319,30 +306,36 @@ def _synth_cross_target_threshold(fam: SynthesizedParams, p: int, q: int) -> int
     return max(out, _preset_gap_threshold(p, q))
 
 
-def _verify_gap_tail(fam: AfsParams, p: int, q: int, threshold: int,
-                     scan_to: int, allow_zero: bool) -> list[int]:
-    """Exact re-check of the certified tail on the materializable prefix.
+def _gap_scan(fam: AfsParams, p: int, q: int, threshold: int, scan_to: int,
+              allow_zero: bool) -> tuple[list[int], list[int]]:
+    """The stages below ``threshold`` where the gap condition holds, and the
+    zero-gap stages from it to ``scan_to``, after an exact re-check of the
+    certified tail: from ``threshold`` on the gap condition must fail, save
+    at exactly proportional stages when ``allow_zero``.
 
-    Generation can stop early when a synthesis recipe runs out of complement
+    The scan stops early when a synthesis recipe runs out of complement
     entries; the certificate only claims the gap beyond the threshold at
     all-but-finitely-many stages, so a shorter scan narrows the sanity check
     without weakening the rule-level argument.
     """
-    zero_stages = []
-    for n in range(threshold, scan_to + 1):
+    exceptional, zero = [], []
+    for n in range(scan_to + 1):
         try:
             fam.ensure(n + 1)
         except PrefixExhausted:
             break
+        if not gap_condition(fam, n, p, q):
+            continue
+        if n < threshold:
+            exceptional.append(n)
+            continue
         sp = fam.params(n)
-        disc = abs(p * sp.q - q * sp.p)
-        if disc == 0:
-            if not allow_zero:
-                raise CertificateError(f"stage {n}: unexpected exact proportionality")
-            zero_stages.append(n)
-        elif disc <= (p + q) * fam.marker(n):
+        if p * sp.q != q * sp.p:
             raise CertificateError(f"stage {n}: certified gap fails re-check")
-    return zero_stages
+        if not allow_zero:
+            raise CertificateError(f"stage {n}: unexpected exact proportionality")
+        zero.append(n)
+    return exceptional, zero
 
 
 def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
@@ -374,32 +367,32 @@ def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
     if (rp, rq) != (p, q):
         facts.append(f"analyzed as reduced pair ({rp}, {rq})")
 
-    scan_to = 12
+    def verdict(regime: str, threshold: int | None = None,
+                exceptional: Sequence[int] = ()) -> Verdict:
+        return Verdict(p, q, regime, (rp, rq), swapped, negative_first, threshold,
+                       tuple(exceptional), tuple(facts))
 
     if isinstance(family, SynthesizedParams):
         family.trace.recheck(family)
-        ratio = Fraction(rp, rq) if rp < rq else Fraction(1)
+        ratio = Fraction(rp, rq)
         spec = family.spec
         if rp == rq:
             facts.append("self-product of equal powers: conservative by quarter rigidity; "
                          "no ergodicity certificate from the recipe")
-            return Verdict(p, q, REGIME_UNKNOWN, "prefix-evidence", (rp, rq), swapped,
-                           negative_first, facts=tuple(facts))
+            return verdict(REGIME_UNKNOWN)
         if ratio in spec.r1:
             rows = family.trace.stages_for(ratio, "ergodic")
             facts.append(f"recipe hits every offset pair infinitely often for {ratio}; "
                          f"materialized stages {[r.n for r in rows][:8]}")
             facts.append("offset divisibility holds at every recorded stage (re-checked)")
-            return Verdict(p, q, REGIME_ERGODIC, "certificate", (rp, rq), swapped,
-                           negative_first, facts=tuple(facts))
+            return verdict(REGIME_ERGODIC)
         if negative_first:
             facts.append("negative first power outside the certified ergodic case")
-            return Verdict(p, q, REGIME_UNKNOWN, "prefix-evidence", (rp, rq), swapped,
-                           True, facts=tuple(facts))
+            return verdict(REGIME_UNKNOWN)
         if ratio in set(spec.ratios):
             threshold = _synth_cross_target_threshold(family, rp, rq)
-            scan = max(scan_to, threshold + 4)
-            zero = _verify_gap_tail(family, rp, rq, threshold, scan, allow_zero=True)
+            scan = max(_SCAN_TO, threshold + 4)
+            _, zero = _gap_scan(family, rp, rq, threshold, scan, allow_zero=True)
             rows = family.trace.stages_for(ratio, "exact")
             for row in rows:
                 if divisibility_condition(family, row.n, rp, rq, 0, 0) is None:
@@ -410,30 +403,18 @@ def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
             facts.append(f"all other stages beyond {threshold} have gap discrepancy "
                          f"above ({rp}+{rq}) h_n; prefix re-checked to {scan} "
                          f"(zero-gap stages seen: {zero[:6]})")
-            return Verdict(p, q, REGIME_CONS_NOT_ERG, "certificate", (rp, rq), swapped,
-                           False, threshold=threshold, facts=tuple(facts))
+            return verdict(REGIME_CONS_NOT_ERG, threshold)
         if ratio in set(spec.complement):
             v = list(spec.complement).index(ratio) + 1
-            threshold = max(_synth_not_conservative_threshold(family, rp, rq, v),
+            threshold = max(_synth_not_conservative_threshold(family, v),
                             _synth_cross_target_threshold(family, rp, rq))
-            scan = max(scan_to, threshold + 4)
-            _verify_gap_tail(family, rp, rq, threshold, scan, allow_zero=False)
-            exceptional = []
-            for n in range(threshold):
-                try:
-                    family.ensure(n + 1)
-                except PrefixExhausted:
-                    break
-                if gap_condition(family, n, rp, rq):
-                    exceptional.append(n)
+            exceptional, _ = _gap_scan(family, rp, rq, threshold,
+                                       max(_SCAN_TO, threshold + 4), allow_zero=False)
             facts.append(f"{ratio} is complement entry {v}; separation inequality "
                          f"dominates every target stage beyond {threshold}")
-            return Verdict(p, q, REGIME_NOT_CONS, "certificate", (rp, rq), swapped,
-                           False, threshold=threshold,
-                           exceptional_stages=tuple(exceptional), facts=tuple(facts))
+            return verdict(REGIME_NOT_CONS, threshold, exceptional)
         facts.append("ratio not covered by the enumerated direction sets")
-        return Verdict(p, q, REGIME_UNKNOWN, "prefix-evidence", (rp, rq), swapped,
-                       negative_first, facts=tuple(facts))
+        return verdict(REGIME_UNKNOWN)
 
     if is_preset_rule(family):
         if rp == rq:
@@ -441,37 +422,37 @@ def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
                 facts.append("inverse-direction self-product: conservative by the "
                              "two-sided rigidity of the cut times; no ergodicity "
                              "certificate")
-                return Verdict(p, q, REGIME_UNKNOWN, "prefix-evidence", (rp, rq),
-                               swapped, True, facts=tuple(facts))
+                return verdict(REGIME_UNKNOWN)
             facts.append("preset rule: every finite self-product power is ergodic "
                          "(infinite ergodic index)")
-            return Verdict(p, q, REGIME_ERGODIC, "certificate", (rp, rq), swapped,
-                           False, facts=tuple(facts))
-        threshold, exceptional, cert_facts = _preset_not_conservative(family, rp, rq)
+            return verdict(REGIME_ERGODIC)
+        threshold = _preset_gap_threshold(rp, rq)
+        scan = max(threshold + 4, 8)
+        exceptional, _ = _gap_scan(family, rp, rq, threshold, scan, allow_zero=False)
+        for n in range(threshold, scan + 1):
+            sp = family.params(n)
+            if sp.p < n * family.marker(n) or sp.q != sp.p + 1:
+                raise CertificateError(f"stage {n}: preset rule shape failed re-check")
         if negative_first:
             facts.append("negative first power: rigidity keeps the product "
                          "conservative in the inverse direction; no regime certificate")
-            return Verdict(p, q, REGIME_UNKNOWN, "prefix-evidence", (rp, rq), swapped,
-                           True, facts=tuple(facts))
-        report = validate_V(family, min(8, threshold + 2))
-        if not report.ok:
+            return verdict(REGIME_UNKNOWN)
+        if not validate_V(family, min(8, threshold + 2)).ok:
             raise CertificateError("preset family failed admissibility re-check")
-        facts.extend(cert_facts)
-        return Verdict(p, q, REGIME_NOT_CONS, "certificate", (rp, rq), swapped,
-                       False, threshold=threshold,
-                       exceptional_stages=tuple(exceptional), facts=tuple(facts))
+        facts.append("rule: q_n = p_n + 1 and p_n >= n h_n at every stage")
+        facts.append(f"gap discrepancy exceeds (p+q) h_n for all n >= {threshold}")
+        return verdict(REGIME_NOT_CONS, threshold, exceptional)
 
     # No rule certificate: prefix evidence only.
-    family.ensure(scan_to + 1)
-    gap_hits = [n for n in range(scan_to + 1) if gap_condition(family, n, rp, rq)]
-    div_hits = [n for n in range(scan_to + 1)
+    family.ensure(_SCAN_TO + 1)
+    gap_hits = [n for n in range(_SCAN_TO + 1) if gap_condition(family, n, rp, rq)]
+    div_hits = [n for n in range(_SCAN_TO + 1)
                 if divisibility_condition(family, n, rp, rq, 0, 0) is not None]
-    facts.append(f"gap condition holds at stages {gap_hits} (prefix to {scan_to})")
+    facts.append(f"gap condition holds at stages {gap_hits} (prefix to {_SCAN_TO})")
     facts.append(f"zero-offset divisibility at stages {div_hits}")
     if horizon > 0:
         A = LevelSet.level(family, family.first_stage, 0)
         lam = lambda_set(family, rp, rq, A, horizon)
         facts.append(f"base-level product returns up to {horizon}: "
                      f"{'none' if lam.is_empty() else 'present'}")
-    return Verdict(p, q, REGIME_UNKNOWN, "prefix-evidence", (rp, rq), swapped,
-                   negative_first, facts=tuple(facts))
+    return verdict(REGIME_UNKNOWN)

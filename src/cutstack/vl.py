@@ -114,10 +114,16 @@ class PowerR:
 
 @dataclass(frozen=True)
 class GeometricR:
-    """r_n = c * beta^n with integer c >= 1, beta >= 2."""
+    """r_n = c * beta^n with integers c >= 1 and beta >= 1; beta = 1 is the
+    constant rule r_n = c."""
 
     c: int
     beta: int
+
+    def __post_init__(self) -> None:
+        if self.c < 1 or self.beta < 1:
+            raise ValueError(f"geometric rule needs c >= 1 and beta >= 1, "
+                             f"got c={self.c}, beta={self.beta}")
 
     def to_json(self) -> dict:
         return {"kind": "geometric", "c": self.c, "beta": self.beta}
@@ -466,13 +472,15 @@ def right_block_positions(fam: VlFamily, m: int) -> tuple[int, ...]:
 
 def tail_bound(rule: RRule, L: int, k: int, n: int) -> Fraction:
     """Exact sum_{i >= n} ((L+1)/r_i)^k for rules with elementary tails."""
-    if isinstance(rule, GeometricR) and rule.beta >= 2:
-        # ((L+1)/(c beta^i))^k summed from i = n: geometric with ratio beta^-k.
-        first = Fraction(L + 1, rule.c * rule.beta ** n) ** k
-        return first / (1 - Fraction(1, rule.beta ** k))
+    if isinstance(rule, GeometricR) and rule.beta == 1:
+        rule = ConstR(rule.c)
     if isinstance(rule, ConstR):
         raise SchemaError(
             f"tail sum diverges for constant cut count {rule.value}")
+    if isinstance(rule, GeometricR):
+        # ((L+1)/(c beta^i))^k summed from i = n: geometric with ratio beta^-k.
+        first = Fraction(L + 1, rule.c * rule.beta ** n) ** k
+        return first / (1 - Fraction(1, rule.beta ** k))
     raise UnsupportedRule("tail sum unavailable for this cut rule")
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cutstack import cli
 from cutstack.cli import main
-from cutstack.familyfile import (family_from_json, family_to_json, load_family,
+from cutstack.errors import CutstackError
+from cutstack.familyfile import (Report, family_from_json, family_to_json, load_family,
                                  save_family)
 from cutstack.synthesis import DirectionSpec, synthesize_R
 from cutstack.tower import LevelSet, product_correlation
@@ -231,6 +233,66 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert main(["classify", str(tri), "--ratio", "1/2"]) == 3
 
 
+CLASSIFY_FAMILIES = {
+    "preset": ["preset"],
+    "example": ["example"],
+    "synth": ["synthesize", "--R", "1/3", "--R", "3/7", "--S", "1/2", "--S", "2/5",
+              "--S", "1/4", "--S", "2/3", "--S", "3/5", "--S", "1/5", "--S", "3/4",
+              "--S", "1/6", "--stages", "12"],
+    "tri": ["synthesize", "--mode", "three-way", "--R", "1/2", "--R", "1/3", "--R1", "1/2",
+            "--S", "2/5", "--S", "1/4", "--S", "2/3", "--S-complete", "--stages", "8"],
+}
+
+# (family, classify arguments) -> (exit code, sha256 of the report), one case
+# per classifier branch, recorded before the branches shared one verdict builder.
+CLASSIFY_REPORTS = {
+    ("preset", "1/2"): (4, "8b689a39fc519aa353021670cabe52df39799df3aa7bffd0df17baa4fd2f5bea"),
+    ("preset", "1/1"): (0, "4597b0ff35939799fff9d6b9854eea70d4087e8e2aa49d17bb51093ed3e5ab95"),
+    ("preset", "1/1", "--negative-first"):
+        (5, "cf2aa512461e58916070a61cf9f21e6fecba2e10b9b4652c10f31f26a74a6dbd"),
+    ("preset", "1/2", "--negative-first"):
+        (5, "481f471c865dd6230634927ae7960fadf7554ddff0ec981622cb485f09e6aaf8"),
+    ("preset", "6/3"): (4, "f7487860b67ec951dfbb7df705f7343a2c67e3b25938acf03b0618281ad94016"),
+    ("synth", "1/3"): (0, "403a42481e692f84115678bd0f2b68aeb4dd0ce184a3648132dd228850ec5428"),
+    ("synth", "1/3", "--negative-first"):
+        (0, "403a42481e692f84115678bd0f2b68aeb4dd0ce184a3648132dd228850ec5428"),
+    ("synth", "3/4"): (4, "a8d04e469814fe2902db855dfa0d87d04cd5dbbb1b8802db0226218124f6dcd0"),
+    ("synth", "8/6"): (4, "dea2ebd76c204bc3fb529420baf43316395b144a06756cae89f4a319566cb3f2"),
+    ("synth", "3/4", "--negative-first"):
+        (5, "0cbe21af2e27763259eb0e12a775f04628ff935c8e2dc0f5faeb461e6adbe534"),
+    ("synth", "5/7"): (5, "a6a5a43baaca5618c4871af518d4546f9f94d87b649ea566654c0e1e1b0ad6b7"),
+    ("synth", "2/2"): (5, "07c9b1dfb29879a45776c44916cb258596260637f582f2f4c1d76fd24942ffe0"),
+    ("tri", "1/3"): (3, "10859c41a1fb0916b73fbfc3bcec36e9da6726465c38c7e403bbccb57b4f23b4"),
+    ("tri", "1/2"): (0, "4e1c04038609cf5a7aaca5ab012d44374603c8778ecc33fd07898f73b791e6de"),
+    ("tri", "2/5"): (4, "ab749816b644582df2ba07b50d66eada720ec24fed5947c52cf52d049ab42538"),
+    ("example", "1/2", "--horizon", "300"):
+        (5, "ace0b260ea59ab6027875faa4697e54981da5bbfae00796abee0f6072b9dc035"),
+    ("example", "2/3"): (5, "e473f6c9f23946f37aafe18115c69efff6186ea44d2afcbcb5be7329a91a6638"),
+}
+
+
+@pytest.fixture(scope="module")
+def classify_families(tmp_path_factory):
+    root = tmp_path_factory.mktemp("classify")
+    paths = {}
+    for name, argv in CLASSIFY_FAMILIES.items():
+        path = root / f"{name}.json"
+        if argv[0] == "synthesize":
+            assert main(argv + ["--out", str(path), "--report", str(root / "r.txt")]) == 0
+        else:
+            path.write_text(json.dumps({"preset": PRESET, "example": EXAMPLE}[name]))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_REPORTS), ids=" ".join)
+def test_classify_report_bytes_are_recorded(case, classify_families, tmp_path):
+    name, *args = case
+    out = tmp_path / "report.txt"
+    code = main(["classify", classify_families[name], "--ratio", *args, "--out", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == CLASSIFY_REPORTS[case]
+
+
 def test_correlate_csv(example_file, capsys):
     assert main(["correlate", example_file, "--set", "0:0", "--powers", "1",
                  "--range", "0..5"]) == 0
@@ -358,6 +420,18 @@ def test_witness_refuses_a_horizon_that_checks_no_lag(tmp_path, capsys, horizon)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: horizon {horizon} checks no lag (need at least 1)\n"
+
+
+def test_report_refuses_a_value_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    report = Report("build stage=816")
+    for key, value in (("stage.816.height", 10 ** limit),
+                       ("stage.816.offsets", [0, -10 ** limit])):
+        with pytest.raises(CutstackError) as err:
+            report.add(key, value)
+        assert str(err.value) == (f"report value {key} holds an integer of more than "
+                                  f"{limit} digits, too long to print")
+    assert report.lines == ["# cutstack-report v1 command=build stage=816"]
 
 
 def test_classify_refuses_a_negative_horizon(example_file, capsys):

@@ -112,6 +112,16 @@ COERCED = [
     (_with(3, 1.0, "format_version"), "format_version"),
 ]
 
+# Text that int() and Fraction() read after stripping spaces, plus signs and
+# underscores, and labels that are not strings, with the field each error
+# must name.
+LOOSE = [
+    (_with_power("1_0", " 1/2"), "r"),
+    (_with_c({"kind": "ratio_cycle", "ratios": ["+1/2", "1_0/30"]}), "rules.c"),
+    (dict(TEMPLATES[0], label=[1, 2]), "label"),
+    (dict(TEMPLATES[4], label={"x": 1}), "label"),
+]
+
 
 @given(doc=documents())
 @example(doc=COERCED[0][0])
@@ -125,6 +135,10 @@ COERCED = [
 @example(doc=dict(TEMPLATES[3], L=math.inf))
 @example(doc=_with_power("0", "1/2"))
 @example(doc=_with_power("-3", "1/2"))
+@example(doc=LOOSE[0][0])
+@example(doc=LOOSE[1][0])
+@example(doc=LOOSE[2][0])
+@example(doc=LOOSE[3][0])
 @FUZZ
 def test_family_documents_load_or_fail_cleanly(doc, deadline):
     with deadline(5):
@@ -154,6 +168,33 @@ def test_family_numbers_and_booleans_keep_their_json_type(doc, field, tmp_path, 
     path.write_text(json.dumps(doc))
     assert cli.main(["build", str(path), "--stage", "1"]) == 2
     assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
+
+
+@pytest.mark.parametrize("doc, field", LOOSE)
+def test_family_text_fields_are_read_strictly(doc, field, tmp_path, capsys):
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["build", str(path), "--stage", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: field '{field}': ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synthesize", "--R", "1_0/21", "--stages", "4", "--out", "{dir}/x.json"],
+     "invalid literal for p/q: '1_0/21'"),
+    (["synthesize", "--R", "1/2", "--S", " 1/3", "--stages", "4", "--out", "{dir}/x.json"],
+     "invalid literal for p/q: ' 1/3'"),
+    (["classify", "{dir}/f.json", "--ratio", " 1/2"],
+     "--ratio ' 1/2': expected p/q with integers p and q"),
+    (["classify", "{dir}/f.json", "--ratio", "+1/2"],
+     "--ratio '+1/2': expected p/q with integers p and q"),
+    (["classify", "{dir}/f.json", "--ratio", "1/2_0"],
+     "--ratio '1/2_0': expected p/q with integers p and q"),
+])
+def test_ratio_arguments_are_read_strictly(argv, message, tmp_path, capsys):
+    (tmp_path / "f.json").write_text(json.dumps(TEMPLATES[0]))
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 @st.composite

@@ -272,6 +272,25 @@ def test_limit_ratio_membership():
     assert limit_ratio_membership(prefix_fam, 1, 2)[0] == NON_MEMBER
 
 
+@pytest.mark.parametrize("p, q", [(0, 0), (-1, 2), (0, 3), (3, 2)])
+def test_limit_ratio_membership_needs_powers_in_order(p, q):
+    fam = AfsParams(ConstRule(3), ConstRule(10), ConstRule(4), ConstRule(20))
+    with pytest.raises(ValueError, match=f"powers p={p}, q={q} must satisfy 1 <= p <= q"):
+        limit_ratio_membership(fam, p, q)
+
+
+def test_verdict_basis_follows_the_regime(preset_family, example_family):
+    three_way, _ = synthesize_three_way(DirectionSpec(ratios=(half,), ergodic_subset=()), 8)
+    verdicts = [classify(preset_family, 1, 2), classify(preset_family, 1, 1),
+                classify(preset_family, 1, 2, negative_first=True),
+                classify(three_way, 1, 2), classify(example_family, 1, 2)]
+    assert {v.regime for v in verdicts} == set(products.EXIT_CODES)
+    for v in verdicts:
+        assert v.basis == ("prefix-evidence" if v.regime == REGIME_UNKNOWN else "certificate")
+    assert products.Verdict(1, 2, REGIME_UNKNOWN, (1, 2)).basis == "prefix-evidence"
+    assert products.Verdict(1, 2, REGIME_NOT_CONS, (1, 2)).basis == "certificate"
+
+
 def test_classify_preset(preset_family):
     v = classify(preset_family, 1, 2)
     assert v.regime == REGIME_NOT_CONS and v.basis == "certificate"

@@ -224,6 +224,18 @@ def test_tail_bound():
         tail_bound(PowerR(Fraction(1), Fraction(1, 2)), 2, 2, 2)
 
 
+def test_geometric_rule_with_ratio_one_is_the_constant_rule():
+    assert series_index(GeometricR(6, 1), 2).verdicts[2] == "diverges"
+    for rule in (GeometricR(6, 1), ConstR(6)):
+        with pytest.raises(SchemaError, match="tail sum diverges for constant cut count 6"):
+            tail_bound(rule, 2, 2, 2)
+    with pytest.raises(SchemaError, match="tail sum diverges"):
+        witness_sets(VlFamily(VlSpec(2, GeometricR(6, 1))), 2, 2, 3)
+    for c, beta in ((0, 2), (6, 0), (6, -2)):
+        with pytest.raises(ValueError, match="geometric rule needs c >= 1 and beta >= 1"):
+            GeometricR(c, beta)
+
+
 def test_witness_tail_condition_false_reports_bound():
     # finite but too-large tail: L = 3, c = 1 gives sum 4/3 >= 1 at n = 2
     assert tail_bound(GeometricR(1, 2), 3, 2, 2) == Fraction(4, 3)
