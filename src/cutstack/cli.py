@@ -142,9 +142,12 @@ def _parse_level_set(family, flag: str, text: str) -> LevelSet:
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo_s, hi_s = text.split("..")
-        return int(lo_s), int(hi_s)
+        lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise ValueError(f"--range {text!r}: expected a..b with integers a and b") from None
+    if hi < lo:
+        raise ValueError(f"--range {text!r}: {hi} < {lo} checks no lag (need a <= b)")
+    return lo, hi
 
 
 def cmd_correlate(args) -> int:

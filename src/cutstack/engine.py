@@ -14,6 +14,14 @@ size 10^30 and more exact and cheap. Per-stage "allowed position" maps
 restrict a side to chosen subcolumn copies (used for intersections with
 whole subcolumn unions).
 
+Correlations and intersections need the counts, so :func:`pair_diff_counts`
+and :func:`multi_diff_counts` carry a count per state. Return supports and
+return sets ask only which deltas a walk reaches, so
+:func:`pair_diff_support` and :func:`lockstep_diff_states` carry a sorted
+list of deltas with no counts (which on constant-spacer families reach
+about a thousand digits), and a stage extends it by one slice shift per
+offset difference.
+
 The lift stage M can lie far above the first stage S whose column is taller
 than the window: with constant spacers the column top gains only the top
 spacer per stage, so M climbs about one stage per top spacer of lag. Above
@@ -36,8 +44,8 @@ count, which reaches the thousands on geometric vector families).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import product
-from operator import add, sub
+from itertools import compress, islice, product, repeat
+from operator import add, ne, sub
 
 from .errors import LiftError
 
@@ -69,24 +77,32 @@ def _check_cap(n_states: int, stage: int) -> None:
                         "window too wide for this family")
 
 
-def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
-          ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-          ) -> dict[int, int]:
-    """One stage of the top-down walk: extend every state by the stage-i
-    offset differences b - a, keeping those that can still end in [lo, hi]
-    with the remaining reach r. ``cur`` must be nonempty."""
+def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
+                 ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+                 ) -> dict[int, int]:
+    """The stage-i offset differences b - a in [d_lo, d_hi], each with the
+    number of offset pairs (a, b) that give it."""
     offs_a = family._stage_offsets(i, ca.get(i))
     offs_b = family._stage_offsets(i, cb.get(i))
-    t_lo, t_hi = lo - r, hi + r
-    # viable step sizes: some state must stay within window +- remaining reach;
     # offsets are sorted, so the partners b of each a form one contiguous block
-    d_lo, d_hi = t_lo - max(cur), t_hi - min(cur)
     diffs: dict[int, int] = {}
     for a in offs_a:
         j = bisect_left(offs_b, a + d_lo)
         for b in offs_b[j:bisect_right(offs_b, a + d_hi, j)]:
             d = b - a
             diffs[d] = diffs.get(d, 0) + 1
+    return diffs
+
+
+def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
+          ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+          ) -> dict[int, int]:
+    """One stage of the top-down counting walk: extend every state by the
+    stage-i offset differences b - a, keeping those that can still end in
+    [lo, hi] with the remaining reach r. ``cur`` must be nonempty."""
+    t_lo, t_hi = lo - r, hi + r
+    # viable step sizes: some state must stay within window +- remaining reach
+    diffs = _stage_diffs(family, i, t_lo - max(cur), t_hi - min(cur), ca, cb)
     nxt: dict[int, int] = {}
     for s, ways in cur.items():
         for d, mult in diffs.items():
@@ -94,6 +110,40 @@ def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
             if t_lo <= t <= t_hi:
                 nxt[t] = nxt.get(t, 0) + ways * mult
     return nxt
+
+
+def _support_step(family, i: int, cur: list[int], r: int, lo: int, hi: int,
+                  ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+                  ) -> list[int]:
+    """:func:`_step` without the counts: the sorted states it reaches from
+    the sorted nonempty states ``cur``. The sums state + difference in the
+    window that one entry x of the shorter of the two sorted lists makes
+    are one slice of the longer list, shifted by x, so the Python loop runs
+    over the shorter list only."""
+    t_lo, t_hi = lo - r, hi + r
+    diffs = sorted(_stage_diffs(family, i, t_lo - cur[-1], t_hi - cur[0], ca, cb))
+    outer, inner = (cur, diffs) if len(cur) < len(diffs) else (diffs, cur)
+    if len(outer) == 1:  # one slice, sorted and free of repeats already
+        x = outer[0]
+        j = bisect_left(inner, t_lo - x)
+        return list(map(add, inner[j:bisect_right(inner, t_hi - x, j)], repeat(x)))
+    cuts = []
+    for x in outer:
+        j = bisect_left(inner, t_lo - x)
+        cuts.append((j, bisect_right(inner, t_hi - x, j), x))
+    if sum(k - j for j, k, _ in cuts) > t_hi - t_lo + 1:
+        # more shifted states than window slots, so repeats are many: a set
+        # drops them as they come
+        seen: set[int] = set()
+        for j, k, x in cuts:
+            seen.update(map(add, inner[j:k], repeat(x)))
+        return sorted(seen)
+    # few repeats: the shifted slices are sorted runs, which one sort merges
+    nxt: list[int] = []
+    for j, k, x in cuts:
+        nxt += map(add, inner[j:k], repeat(x))
+    nxt.sort()
+    return list(compress(nxt, map(ne, nxt, islice(nxt, 1, None)))) + nxt[-1:]
 
 
 def _seed(family, n0: int, M: int, lo: int, hi: int,
@@ -156,6 +206,23 @@ def _seed(family, n0: int, M: int, lo: int, hi: int,
     return S, cur
 
 
+def _pair_states(family, n0: int, M: int, lo: int, hi: int,
+                 ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+                 start, step):
+    """The pair walk from ``start(seed states)`` through the stages below
+    the :func:`_seed` stage, one ``step`` a stage."""
+    S, seed = _seed(family, n0, M, lo, hi, ca, cb)
+    cur = start(seed)
+    top = family._top_sums_to(M)
+    base = top[n0]
+    for i in range(S - 1, n0 - 1, -1):
+        if not cur:
+            break
+        cur = step(family, i, cur, top[i] - base, lo, hi, ca, cb)
+        _check_cap(len(cur), i)
+    return cur
+
+
 def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
                      constraints_a: dict[int, tuple[int, ...]] | None = None,
                      constraints_b: dict[int, tuple[int, ...]] | None = None,
@@ -165,87 +232,94 @@ def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
     starts below the stages :func:`_seed` answers in closed form."""
     if lo > hi:
         return {}
-    ca = constraints_a or {}
-    cb = constraints_b or {}
-    S, cur = _seed(family, n0, M, lo, hi, ca, cb)
-    top = family._top_sums_to(M)
-    base = top[n0]
-    for i in range(S - 1, n0 - 1, -1):
-        if not cur:
-            break
-        cur = _step(family, i, cur, top[i] - base, lo, hi, ca, cb)
-        _check_cap(len(cur), i)
-    return cur
+    return _pair_states(family, n0, M, lo, hi, constraints_a or {},
+                        constraints_b or {}, dict, _step)
 
 
-def _partnered(cur: dict[int, int], others: list[int], a: int, b: int,
-               g_lo: int, g_hi: int) -> dict[int, int]:
-    """States s of ``cur`` with a*s - b*t in [g_lo, g_hi] for some t in the
-    sorted list ``others`` (a, b > 0): t must lie in
-    [ceil((a*s - g_hi) / b), floor((a*s - g_lo) / b)]."""
+def pair_diff_support(family, n0: int, M: int, lo: int, hi: int,
+                      constraints_a: dict[int, tuple[int, ...]] | None = None,
+                      constraints_b: dict[int, tuple[int, ...]] | None = None,
+                      ) -> list[int]:
+    """The deltas of :func:`pair_diff_counts`, sorted, without their counts."""
+    if lo > hi:
+        return []
+    return _pair_states(family, n0, M, lo, hi, constraints_a or {},
+                        constraints_b or {}, sorted, _support_step)
+
+
+def _partnered(cur: list[int], others: list[int], a: int, b: int,
+               g_lo: int, g_hi: int) -> list[int]:
+    """States s of the sorted nonempty ``cur`` with a*s - b*t in
+    [g_lo, g_hi] for some t in the sorted list ``others`` (a, b > 0): t
+    must lie in [ceil((a*s - g_hi) / b), floor((a*s - g_lo) / b)]."""
     n = len(others)
     if not n:
-        return {}
+        return []
     # Dense walks drop nothing: when each window meets [others[0], others[-1]]
     # and is at least as long as the widest gap between neighbours in
     # ``others``, it holds one of them. The windows move up with s, so the
     # extreme states decide the first condition.
     widest = max(map(sub, others[1:], others), default=0)
-    if (g_hi - g_lo >= b * widest and a * max(cur) - g_hi <= b * others[-1]
-            and a * min(cur) - g_lo >= b * others[0]):
+    if (g_hi - g_lo >= b * widest and a * cur[-1] - g_hi <= b * others[-1]
+            and a * cur[0] - g_lo >= b * others[0]):
         return cur
-    out = {}
-    for s, ways in cur.items():
+    out = []
+    for s in cur:
         k = bisect_left(others, -((g_hi - a * s) // b))
         if k < n and others[k] <= (a * s - g_lo) // b:
-            out[s] = ways
+            out.append(s)
     return out
 
 
 def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
                          gap: tuple[int, int],
-                         ) -> tuple[dict[int, int], dict[int, int]]:
-    """Two :func:`pair_diff_counts` walks in lockstep, pruned by proportionality.
+                         ) -> tuple[list[int], list[int]]:
+    """Two :func:`pair_diff_support` walks in lockstep, pruned by
+    proportionality.
 
     ``walk_p`` and ``walk_q`` are each the arguments of
-    :func:`pair_diff_counts` after the family, (n0, M, lo, hi, constraints_a,
-    constraints_b), and the result holds their final states. Each walk keeps
-    its own state set, never pairs; stage i is walked by both at once, and a
-    walk sits at its :func:`_seed` states above the stage it starts below
-    and keeps its states below its n0. After each stage a state delta_p
-    survives only if some state delta_q of the other walk has
-    q*delta_p - p*delta_q within q*r_p + p*r_q of ``gap``, and the reverse,
-    where r_p and r_q are what the unwalked stages can still add to each
-    delta: a pair outside that slack can never meet the gap. Every pair of
-    final deltas with q*delta_p - p*delta_q in ``gap`` survives, but a
-    survivor need not have such a partner.
+    :func:`pair_diff_support` after the family, (n0, M, lo, hi,
+    constraints_a, constraints_b), and the result holds their final
+    states, as sorted delta lists. Each walk keeps its own state list,
+    never pairs; stage i is walked by both at once, and a walk sits at its
+    :func:`_seed` states above the stage it starts below and keeps its
+    states below its n0. After each stage a state delta_p survives only if
+    some state delta_q of the other walk has q*delta_p - p*delta_q within
+    q*r_p + p*r_q of ``gap``, and the reverse, where r_p and r_q are what
+    the unwalked stages can still add to each delta: a pair outside that
+    slack can never meet the gap. Every pair of final deltas with
+    q*delta_p - p*delta_q in ``gap`` survives, but a survivor need not
+    have such a partner.
     """
     n_p, M_p, lo_p, hi_p, ca_p, cb_p = walk_p
     n_q, M_q, lo_q, hi_q, ca_q, cb_q = walk_q
     g_lo, g_hi = gap
     if lo_p > hi_p or lo_q > hi_q or g_lo > g_hi:
-        return {}, {}
+        return [], []
     ca_p, cb_p, ca_q, cb_q = ca_p or {}, cb_p or {}, ca_q or {}, cb_q or {}
-    S_p, cur_p = _seed(family, n_p, M_p, lo_p, hi_p, ca_p, cb_p)
-    S_q, cur_q = _seed(family, n_q, M_q, lo_q, hi_q, ca_q, cb_q)
-    if not cur_p or not cur_q:
-        return {}, {}
+    S_p, seed_p = _seed(family, n_p, M_p, lo_p, hi_p, ca_p, cb_p)
+    S_q, seed_q = _seed(family, n_q, M_q, lo_q, hi_q, ca_q, cb_q)
+    if not seed_p or not seed_q:
+        return [], []
+    cur_p, cur_q = sorted(seed_p), sorted(seed_q)
     top = family._top_sums_to(max(M_p, M_q))
     base_p, base_q = top[n_p], top[n_q]
     for i in range(max(S_p, S_q) - 1, min(n_p, n_q) - 1, -1):
         if n_p <= i < S_p:
-            cur_p = _step(family, i, cur_p, top[i] - base_p, lo_p, hi_p, ca_p, cb_p)
+            cur_p = _support_step(family, i, cur_p, top[i] - base_p, lo_p, hi_p,
+                                  ca_p, cb_p)
             if not cur_p:
-                return {}, {}
+                return [], []
         if n_q <= i < S_q:
-            cur_q = _step(family, i, cur_q, top[i] - base_q, lo_q, hi_q, ca_q, cb_q)
+            cur_q = _support_step(family, i, cur_q, top[i] - base_q, lo_q, hi_q,
+                                  ca_q, cb_q)
         r_p = top[min(max(i, n_p), S_p)] - base_p
         r_q = top[min(max(i, n_q), S_q)] - base_q
         slack = q * r_p + p * r_q
-        cur_p = _partnered(cur_p, sorted(cur_q), q, p, g_lo - slack, g_hi + slack)
-        cur_q = _partnered(cur_q, sorted(cur_p), p, q, -g_hi - slack, -g_lo + slack)
+        cur_p = _partnered(cur_p, cur_q, q, p, g_lo - slack, g_hi + slack)
+        cur_q = _partnered(cur_q, cur_p, p, q, -g_hi - slack, -g_lo + slack)
         if not cur_q:
-            return {}, {}
+            return [], []
         _check_cap(max(len(cur_p), len(cur_q)), i)
     return cur_p, cur_q
 

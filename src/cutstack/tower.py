@@ -506,23 +506,22 @@ def triple_correlation(A: LevelSet, p: int, q: int, i: int) -> Fraction:
     return intersection_measure([A, A, A], [p * i, q * i, 0])
 
 
-def _lag_runs(A0: LevelSet, B0: LevelSet, deltas, lo: int, hi: int) -> tuple[Run, ...]:
-    """Every lag j = delta - (a - b) in [lo, hi], for delta in ``deltas``, a in
-    A0 and b in B0 (both at the walk's base stage), as sorted merged runs.
+def _lag_runs(A0: LevelSet, B0: LevelSet, ds: list[int], lo: int, hi: int) -> tuple[Run, ...]:
+    """Every lag j = delta - (a - b) in [lo, hi], for delta in the sorted
+    list ``ds``, a in A0 and b in B0 (both at the walk's base stage), as
+    sorted merged runs.
 
     A cross-difference run [s, t) of a - b sends each delta to the lag run
     [delta - t + 1, delta - s + 1), so the sorted deltas give the lag runs
-    of one cross-difference run in order. Cost: one sort of the deltas, then
-    one linear pass (:func:`runs.cover`) over the lag runs' starts and
-    stops. With one cross-difference run these are the sorted deltas
-    themselves, offset; with several, the starts are sorted along the deltas
-    and along the runs, and so are the stops, so they are laid out as sorted
-    integer streams that one sort of each merges. No run tuple is ever
-    sorted.
+    of one cross-difference run in order. Cost: one linear pass
+    (:func:`runs.cover`) over the lag runs' starts and stops. With one
+    cross-difference run these are the sorted deltas themselves, offset;
+    with several, the starts are sorted along the deltas and along the
+    runs, and so are the stops, so they are laid out as sorted integer
+    streams that one sort of each merges. No run tuple is ever sorted.
     """
-    if not deltas:
+    if not ds:
         return ()
-    ds = sorted(deltas)
     # only differences a - b with delta - (a - b) in [lo, hi] for some delta
     cd = rn.cross_difference_runs(A0.runs, B0.runs, ds[0] - hi, ds[-1] - lo)
     if len(cd) == 1:
@@ -550,10 +549,12 @@ def _sums(xs: list[int], ys: list[int]) -> list[int]:
 def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
     """All j in [lo, hi] with correlation(A, B, j) > 0, as an exact run set.
 
-    Lags of each sign cost one walk, one sort of its deltas and a linear
-    merge (:func:`_lag_runs`). Lags below zero swap A and B; their runs come
-    back ordered, so they are reflected in reverse order and joined to the
-    others, merging a run that stops at lag 0 with one that starts there.
+    Lags of each sign cost one support walk
+    (:func:`engine.pair_diff_support`), which hands over its deltas sorted,
+    and a linear merge (:func:`_lag_runs`). Lags below zero swap A and B;
+    their runs come back ordered, so they are reflected in reverse order and
+    joined to the others, merging a run that stops at lag 0 with one that
+    starts there.
     """
     if lo > hi or A.is_empty() or B.is_empty():
         return RunSet(())
@@ -561,7 +562,7 @@ def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
     out: tuple[Run, ...] = ()
     if hi >= lo_nn:
         A0, B0, walk = _pair_walk(A, B, lo_nn, hi)
-        out = _lag_runs(A0, B0, engine.pair_diff_counts(A.family, *walk), lo_nn, hi)
+        out = _lag_runs(A0, B0, engine.pair_diff_support(A.family, *walk), lo_nn, hi)
     if lo < 0:
         neg = [(1 - t, 1 - s) for s, t in
                reversed(return_support(B, A, max(1, -hi), -lo).runs)]
@@ -597,7 +598,7 @@ def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
     p i = delta_p - x_p and q i = delta_q - x_q force
     q delta_p - p delta_q = q x_p - p x_q, where x_p, x_q are cross
     differences of (A, B1) and (A, B2). Each support is assembled from the
-    surviving deltas only, at the cost of one sort of them and a linear
+    surviving deltas only, which the walks hand over sorted, by a linear
     merge (:func:`_lag_runs`); the two are divided by the powers in one
     pass each and intersected by one linear merge.
     """

@@ -157,6 +157,10 @@ def test_argument_forms_are_named(example_file, capsys):
     assert main(["correlate", example_file, "--set", "0:0", "--powers", "1",
                  "--range", "0-3"]) == 2
     assert "expected a..b" in capsys.readouterr().err
+    assert main(["correlate", example_file, "--set", "1:0", "--powers", "1",
+                 "--range", "5..1"]) == 2
+    assert capsys.readouterr() == ("", "error: --range '5..1': 1 < 5 checks no lag "
+                                       "(need a <= b)\n")
 
 
 def test_seed_flag_is_gone(example_file, capsys):

@@ -88,13 +88,15 @@ def test_pair_walk_matches_full_walk(request, data):
     M += data.draw(st.integers(0, 2))
     d_lo -= data.draw(st.sampled_from([0, 0, 1, fam.height(n0), 2 * fam.height(n0)]))
     walk = (n0, M, d_lo, d_hi, ca, cb)
-    assert engine.pair_diff_counts(fam, *walk) == _full_walk(fam, *walk)
+    full = _full_walk(fam, *walk)
+    assert engine.pair_diff_counts(fam, *walk) == full
+    assert engine.pair_diff_support(fam, *walk) == sorted(full)
 
 
 def _partnered(dp, dq, p, q, gap):
     """The states of ``dp`` with a partner in ``dq`` under the exact gap."""
     g_lo, g_hi = gap
-    return {d: w for d, w in dp.items() if any(g_lo <= q * d - p * e <= g_hi for e in dq)}
+    return [d for d in sorted(dp) if any(g_lo <= q * d - p * e <= g_hi for e in dq)]
 
 
 @given(st.data())
@@ -112,9 +114,10 @@ def test_lockstep_walk_matches_full_walks(request, data):
     gap = (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo)
     dp, dq = engine.lockstep_diff_states(fam, p, q, walk_p, walk_q, gap)
     full_p, full_q = _full_walk(fam, *walk_p), _full_walk(fam, *walk_q)
-    # survivors are deltas of the walks; the pairs that meet the gap survive
-    # with their full counts
-    assert dp.keys() <= full_p.keys() and dq.keys() <= full_q.keys()
+    # survivors are sorted deltas of the walks, and every delta with a
+    # partner under the exact gap survives
+    assert dp == sorted(dp) and set(dp) <= full_p.keys()
+    assert dq == sorted(dq) and set(dq) <= full_q.keys()
     assert _partnered(dp, dq, p, q, gap) == _partnered(full_p, full_q, p, q, gap)
     assert _partnered(dq, dp, -q, -p, gap) == _partnered(full_q, full_p, -q, -p, gap)
 
@@ -163,15 +166,15 @@ def test_lambda_set_steps_only_below_the_seeds(example_family, monkeypatch):
     S_q = engine._seed(example_family, *walk_q)[0]
     assert (walk_p[1], walk_q[1], S_p, S_q) == (98, 130, 4, 4)
     steps = []
-    step = engine._step
+    step = engine._support_step
 
     def counted(*args):
         steps.append(args[1])
         return step(*args)
 
-    monkeypatch.setattr(engine, "_step", counted)
+    monkeypatch.setattr(engine, "_support_step", counted)
     got = lambda_set(example_family, 3, 4, A, 650)
-    assert len(steps) <= (S_p - 0) + (S_q - 0) == 8
+    assert 1 <= len(steps) <= (S_p - 0) + (S_q - 0) == 8
     assert got.runs == ((5, 6), (10, 13), (15, 18), (20, 21), (22, 24), (25, 26), (27, 651))
 
 
