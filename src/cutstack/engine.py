@@ -133,12 +133,16 @@ def _support_step(family, i: int, cur: list[int], r: int, lo: int, hi: int,
         cuts.append((j, bisect_right(inner, t_hi - x, j), x))
     if sum(k - j for j, k, _ in cuts) > t_hi - t_lo + 1:
         # more shifted states than window slots, so repeats are many: a set
-        # drops them as they come
+        # drops them as they come (one sort of every slice makes the
+        # lockstep walks of classify --horizon about 1.5x slower, as
+        # BENCH_support_walk.json records)
         seen: set[int] = set()
         for j, k, x in cuts:
             seen.update(map(add, inner[j:k], repeat(x)))
         return sorted(seen)
     # few repeats: the shifted slices are sorted runs, which one sort merges
+    # (sorting a set of them makes return_sets' support walks about 1.7x
+    # slower)
     nxt: list[int] = []
     for j, k, x in cuts:
         nxt += map(add, inner[j:k], repeat(x))
