@@ -150,12 +150,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_powers(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--powers {text!r}: expected comma-separated integers") from None
+
+
 def cmd_correlate(args) -> int:
     family = load_family(args.family)
     sets = [_parse_level_set(family, "--set", s) for s in args.set]
     targets = ([_parse_level_set(family, "--target", s) for s in args.target]
                if args.target else sets)
-    powers = [int(s) for s in args.powers.split(",")]
+    powers = _parse_powers(args.powers)
     if len(targets) != len(sets) or len(powers) != len(sets):
         raise CutstackError("need matching --set/--target/--powers arities")
     if 0 in powers:

@@ -35,10 +35,14 @@ it lives in the family's stage table (:class:`cutstack.tower.Family`), which
 the walks fill lazily: for each (stage, allowed positions or none) the
 sorted offsets of those copies, and the prefix sums of the top offsets, from
 which the reach of the stages still to walk and the lift stage are read by
-subtraction. A stage then costs what its surviving states and the offset
-pairs inside the window cost: each offset finds its partners by bisection,
-and no table of all offset differences is built (quadratic in the cut
-count, which reaches the thousands on geometric vector families).
+subtraction. Distinct copies of a stage lie at least a column height
+apart, so a stage whose step windows fit strictly inside the column can
+only pair each copy with itself; such a diagonal stage costs one
+comparison of each window with the column height (:func:`_diagonal`) and
+reads no offset. Any other stage costs what its surviving states and the
+offset pairs inside the window cost: each offset finds its partners by
+bisection, and no table of all offset differences is built (quadratic in
+the cut count, which reaches the thousands on geometric vector families).
 """
 
 from __future__ import annotations
@@ -77,13 +81,51 @@ def _check_cap(n_states: int, stage: int) -> None:
                         "window too wide for this family")
 
 
+def _diagonal(family, i: int, windows, picks) -> int | None:
+    """The number of stage-i copies that every operand selects when each
+    step window in ``windows`` can hold only the difference 0, 0 when some
+    window misses 0 as well, and None when some window is too wide to tell.
+
+    ``picks`` holds each operand's allowed positions at stage i (None for
+    all copies). Copies of column i are disjoint intervals of length
+    height(i) inside column i+1, so two distinct offsets of stage i lie at
+    least height(i) apart (``test_copy_offsets_lie_a_column_apart`` pins
+    this for every family kind). A window strictly inside (-height(i),
+    height(i)) therefore holds no difference of distinct offsets, and the
+    only steps it admits pair each copy with itself. The inequality is
+    strict: with zero spacers two copies lie exactly height(i) apart. The
+    decision compares each window once with height(i), before any offset
+    is read.
+    """
+    h = family.height(i)
+    for w_lo, w_hi in windows:
+        if w_lo <= -h or w_hi >= h:
+            return None
+    for w_lo, w_hi in windows:
+        if w_lo > 0 or w_hi < 0:
+            return 0
+    first = picks[0]
+    if picks.count(first) == len(picks):
+        return len(family._stage_offsets(i, first))
+    common = set(family._stage_offsets(i, first))
+    for p in picks[1:]:
+        common.intersection_update(family._stage_offsets(i, p))
+    return len(common)
+
+
 def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
                  ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
                  ) -> dict[int, int]:
     """The stage-i offset differences b - a in [d_lo, d_hi], each with the
-    number of offset pairs (a, b) that give it."""
-    offs_a = family._stage_offsets(i, ca.get(i))
-    offs_b = family._stage_offsets(i, cb.get(i))
+    number of offset pairs (a, b) that give it. A window that can hold only
+    the difference 0 is answered by :func:`_diagonal` without reading the
+    offsets; otherwise the partners of each offset are found by bisection."""
+    pa, pb = ca.get(i), cb.get(i)
+    same = _diagonal(family, i, ((d_lo, d_hi),), (pa, pb))
+    if same is not None:
+        return {0: same} if same else {}
+    offs_a = family._stage_offsets(i, pa)
+    offs_b = family._stage_offsets(i, pb)
     # offsets are sorted, so the partners b of each a form one contiguous block
     diffs: dict[int, int] = {}
     for a in offs_a:
@@ -332,7 +374,12 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
                       constraints: list[dict[int, tuple[int, ...]] | None],
                       ) -> dict[tuple[int, ...], int]:
     """k-operand generalization: counts of word tuples (w_0..w_{k-1}) with
-    pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1."""
+    pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1.
+
+    A stage takes its step vectors from :func:`_diagonal` when every window
+    fits inside the column; otherwise each base offset finds the partners
+    of every other operand by bisection, and their product gives the
+    vectors."""
     k = len(constraints)
     if k < 2 or len(boxes) != k - 1:
         raise ValueError("need k >= 2 operands and k-1 boxes")
@@ -343,26 +390,31 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
     base = top[n0]
     cur: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
     for i in range(M - 1, n0 - 1, -1):
-        base_offs = family._stage_offsets(i, cons[0].get(i))
-        side_offs = [family._stage_offsets(i, c.get(i)) for c in cons[1:]]
         r = top[i] - base
         # states that can still end in the boxes with the remaining reach r
         bounds = [(lo - r, hi + r) for lo, hi in boxes]
         # per-dimension viable step windows given the surviving states
         windows = [(t_lo - max(col), t_hi - min(col))
                    for (t_lo, t_hi), col in zip(bounds, zip(*cur))]
-        diffs: dict[tuple[int, ...], int] = {}
-        for a in base_offs:
-            blocks = []
-            for offs, (w_lo, w_hi) in zip(side_offs, windows):
-                j = bisect_left(offs, a + w_lo)
-                block = [o - a for o in offs[j:bisect_right(offs, a + w_hi, j)]]
-                if not block:
-                    break
-                blocks.append(block)
-            else:
-                for dvec in product(*blocks):
-                    diffs[dvec] = diffs.get(dvec, 0) + 1
+        picks = [c.get(i) for c in cons]
+        same = _diagonal(family, i, windows, picks)
+        if same is not None:
+            diffs = {(0,) * (k - 1): same} if same else {}
+        else:
+            base_offs = family._stage_offsets(i, picks[0])
+            side_offs = [family._stage_offsets(i, p) for p in picks[1:]]
+            diffs = {}
+            for a in base_offs:
+                blocks = []
+                for offs, (w_lo, w_hi) in zip(side_offs, windows):
+                    j = bisect_left(offs, a + w_lo)
+                    block = [o - a for o in offs[j:bisect_right(offs, a + w_hi, j)]]
+                    if not block:
+                        break
+                    blocks.append(block)
+                else:
+                    for dvec in product(*blocks):
+                        diffs[dvec] = diffs.get(dvec, 0) + 1
         nxt: dict[tuple[int, ...], int] = {}
         for state, ways in cur.items():
             for dvec, mult in diffs.items():

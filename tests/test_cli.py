@@ -161,6 +161,11 @@ def test_argument_forms_are_named(example_file, capsys):
                  "--range", "5..1"]) == 2
     assert capsys.readouterr() == ("", "error: --range '5..1': 1 < 5 checks no lag "
                                        "(need a <= b)\n")
+    for powers in ("1.5", "", "1,,2"):
+        assert main(["correlate", example_file, "--set", "1:0", "--powers", powers,
+                     "--range", "0..3"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --powers {powers!r}: expected comma-separated integers\n")
 
 
 def test_seed_flag_is_gone(example_file, capsys):

@@ -1,13 +1,21 @@
-"""The per-family stage table behind the engine walks."""
+"""The per-family stage table behind the engine walks, and the diagonal
+stages the walks take without reading offsets."""
 
 import sys
 import threading
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutstack import engine
-from cutstack.afs4 import AfsParams, ConstRule, preset_infinite_ergodic_index
-from cutstack.vl import ConstR, VlFamily, VlSpec
+from cutstack.afs4 import (AfsParams, ConstRule, HScaleRule, PrefixRule, RatioCycleRule,
+                           WMinimalRule, preset_infinite_ergodic_index)
+from cutstack.synthesis import DirectionSpec, synthesize_R, synthesize_three_way
+from cutstack.vl import ConstR, GeometricR, PowerR, PrefixR, VlFamily, VlSpec
 
 FRESH = {
     "example_family": lambda: AfsParams(ConstRule(3), ConstRule(10), ConstRule(4), ConstRule(20)),
@@ -127,3 +135,164 @@ def test_threads_filling_one_stage_table(name):
     assert len(results) == 8
     for got in results.values():
         assert [got[i] for i in range(len(walks))] == expected
+
+
+# the families of the diagonal-stage checks: the fixtures above and the
+# zero-spacer family, whose adjacent copies lie exactly a column apart
+DIAGONAL = dict(FRESH, zero_family=lambda: AfsParams(ConstRule(0), ConstRule(0),
+                                                     ConstRule(0), ConstRule(1)))
+DIAGONAL_FAMILIES = {name: make() for name, make in DIAGONAL.items()}
+
+
+def reference_stage_diffs(fam, i, d_lo, d_hi, ca, cb):
+    """The stage step with no diagonal shortcut: every offset of one side
+    bisects for its partners on the other."""
+    offs_a = fam._stage_offsets(i, ca.get(i))
+    offs_b = fam._stage_offsets(i, cb.get(i))
+    diffs = {}
+    for a in offs_a:
+        j = bisect_left(offs_b, a + d_lo)
+        for b in offs_b[j:bisect_right(offs_b, a + d_hi, j)]:
+            diffs[b - a] = diffs.get(b - a, 0) + 1
+    return diffs
+
+
+def reference_multi_diff_counts(fam, n0, M, boxes, constraints):
+    """The multi walk with no diagonal shortcut: at every stage each base
+    offset bisects for the partners of every other operand."""
+    cons = [c or {} for c in constraints]
+    top = fam._top_sums_to(M)
+    cur = {(0,) * len(boxes): 1}
+    for i in range(M - 1, n0 - 1, -1):
+        r = top[i] - top[n0]
+        bounds = [(lo - r, hi + r) for lo, hi in boxes]
+        windows = [(t_lo - max(col), t_hi - min(col))
+                   for (t_lo, t_hi), col in zip(bounds, zip(*cur))]
+        sides = [fam._stage_offsets(i, c.get(i)) for c in cons]
+        diffs = {}
+        for a in sides[0]:
+            blocks = [[o - a for o in offs[bisect_left(offs, a + w_lo):
+                                           bisect_right(offs, a + w_hi)]]
+                      for offs, (w_lo, w_hi) in zip(sides[1:], windows)]
+            for dvec in product(*blocks):
+                diffs[dvec] = diffs.get(dvec, 0) + 1
+        nxt = {}
+        for state, ways in cur.items():
+            for dvec, mult in diffs.items():
+                new = tuple(s + d for s, d in zip(state, dvec))
+                if all(t_lo <= t <= t_hi for (t_lo, t_hi), t in zip(bounds, new)):
+                    nxt[new] = nxt.get(new, 0) + ways * mult
+        cur = nxt
+        if not cur:
+            break
+    return cur
+
+
+def _edge_windows(h):
+    """Windows at the edges of the diagonal test: the widest diagonal one,
+    one reaching -h or h, and diagonal ones that miss 0."""
+    return [(1 - h, h - 1), (-h, h - 1), (1 - h, h), (1, h - 1), (1 - h, -1)]
+
+
+@st.composite
+def _picks(draw, cuts):
+    """Two position constraints: none, equal, disjoint or partly overlapping."""
+    every = list(range(cuts))
+    kind = draw(st.sampled_from(["none", "one", "equal", "disjoint", "overlap"]))
+    if kind == "none":
+        return None, None
+    first = tuple(sorted(draw(st.sets(st.sampled_from(every), min_size=1,
+                                      max_size=max(1, cuts - 1)))))
+    if kind == "one":
+        return first, None
+    if kind == "equal":
+        return first, first
+    rest = [u for u in every if u not in first]
+    if kind == "disjoint" or not rest:
+        return first, tuple(rest) or None
+    extra = draw(st.sets(st.sampled_from(rest), min_size=1))
+    keep = draw(st.sets(st.sampled_from(first), min_size=1))
+    return first, tuple(sorted(set(keep) | extra))
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_stage_diffs_match_reference(data):
+    name = data.draw(st.sampled_from(sorted(DIAGONAL_FAMILIES)))
+    fam = DIAGONAL_FAMILIES[name]
+    i = data.draw(st.integers(fam.first_stage, fam.first_stage + 3))
+    h = fam.height(i)
+    d_lo, d_hi = data.draw(st.sampled_from(_edge_windows(h)))
+    pa, pb = data.draw(_picks(fam.cuts_between(i)))
+    if data.draw(st.booleans()):
+        pa, pb = pb, pa
+    ca = {} if pa is None else {i: pa}
+    cb = {} if pb is None else {i: pb}
+    assert (engine._stage_diffs(fam, i, d_lo, d_hi, ca, cb)
+            == reference_stage_diffs(fam, i, d_lo, d_hi, ca, cb))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_multi_walk_matches_reference(data):
+    name = data.draw(st.sampled_from(sorted(DIAGONAL_FAMILIES)))
+    fam = DIAGONAL_FAMILIES[name]
+    n0 = data.draw(st.integers(fam.first_stage, fam.first_stage + 1))
+    M = n0 + data.draw(st.integers(2, 4))
+    k = data.draw(st.sampled_from([3, 4]))
+    h = fam.height(n0)
+    boxes = []
+    for _ in range(k - 1):
+        # a word difference at one stage: copy u against copy u + 1, plus a
+        # top-copy chain below it, so the lower stages see narrow windows
+        s = data.draw(st.integers(n0, M - 1))
+        offs = fam.offsets_between(s)
+        u = data.draw(st.integers(0, len(offs) - 2))
+        j = data.draw(st.sampled_from([0, offs[u + 1] - offs[u], offs[u] - offs[u + 1]]))
+        j += data.draw(st.sampled_from([0, fam.offsets_between(n0)[-1]]))
+        w = data.draw(st.sampled_from([0, 1, h - 1, h]))
+        boxes.append((j - w, j + data.draw(st.sampled_from([0, 1, h - 1, h]))))
+    constraints = []
+    for _ in range(k):
+        c = {}
+        for t in data.draw(st.sets(st.integers(n0, M - 1), max_size=2)):
+            cuts = fam.cuts_between(t)
+            c[t] = tuple(sorted(data.draw(st.sets(st.integers(0, cuts - 1), min_size=1,
+                                                  max_size=cuts))))
+        constraints.append(c or None)
+    assert (engine.multi_diff_counts(fam, n0, M, boxes, constraints)
+            == reference_multi_diff_counts(fam, n0, M, boxes, constraints))
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+PREMISE = {
+    "afs4 const": DIAGONAL["example_family"],
+    "afs4 zero spacers": DIAGONAL["zero_family"],
+    "afs4 prefix": lambda: AfsParams(PrefixRule((3, 0, 5, 1, 2)), ConstRule(1),
+                                     PrefixRule((0, 4, 0, 2, 1)), ConstRule(0)),
+    "afs4 h_scale and ratio_cycle": lambda: AfsParams(
+        HScaleRule(1), ConstRule(10), RatioCycleRule((HALF, THIRD)), ConstRule(20)),
+    "afs4 w_minimal": lambda: AfsParams(ConstRule(2), WMinimalRule(), HScaleRule(3, 2, 1),
+                                        WMinimalRule()),
+    "preset": lambda: preset_infinite_ergodic_index(6),
+    "synthesized ergodic set": lambda: synthesize_R(DirectionSpec(ratios=(HALF,)), 6)[0],
+    "synthesized three-way": lambda: synthesize_three_way(
+        DirectionSpec(ratios=(HALF,), ergodic_subset=()), 6)[0],
+    "vl const": DIAGONAL["vl_small"],
+    "vl power": lambda: VlFamily(VlSpec(2, PowerR(Fraction(3), Fraction(1, 2)))),
+    "vl geometric": lambda: VlFamily(VlSpec(1, GeometricR(2, 2))),
+    "vl prefix": lambda: VlFamily(VlSpec(2, PrefixR((3, 3, 4, 6, 6, 7, 9)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREMISE))
+def test_copy_offsets_lie_a_column_apart(name):
+    """The premise of engine._diagonal: distinct copies of column n inside
+    column n+1 start at least height(n) apart, so a step window strictly
+    inside (-height(n), height(n)) can pair a copy only with itself."""
+    fam = PREMISE[name]()
+    for n in range(fam.first_stage, fam.first_stage + 5):
+        offs = fam.offsets_between(n)
+        gaps = [b - a for a, b in zip(offs, offs[1:])]
+        assert gaps and min(gaps) >= fam.height(n), (name, n, gaps)
+        assert offs[-1] + fam.height(n) <= fam.height(n + 1), (name, n)
