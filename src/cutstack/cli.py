@@ -168,6 +168,8 @@ def cmd_correlate(args) -> int:
     if 0 in powers:
         raise ValueError("powers must be nonzero")
     lo, hi = _parse_range(args.range)
+    if args.max_rows < 1:
+        raise ValueError(f"--max-rows {args.max_rows}: need at least 1")
     if hi - lo + 1 > args.max_rows:
         raise CutstackError(f"range wider than {args.max_rows} rows; "
                             "narrow it or raise --max-rows")

@@ -43,6 +43,17 @@ reads no offset. Any other stage costs what its surviving states and the
 offset pairs inside the window cost: each offset finds its partners by
 bisection, and no table of all offset differences is built (quadratic in
 the cut count, which reaches the thousands on geometric vector families).
+
+A deep shift is a word difference at a few stages, so its walk holds one
+state through long runs of diagonal stages. While a pair or multi walk
+holds one state, a diagonal stage costs the :func:`_diagonal` call alone
+and builds no state: the state stays, and a counting walk multiplies one
+pending factor by the stage's count, paid into the counts once at the end.
+
+The lift stage is the first whose room, height minus top-offset sum, holds
+the need. The room never falls, so :func:`minimal_valid_stage` bisects
+over the stages the top-sum table already holds and climbs one stage at a
+time only past them.
 """
 
 from __future__ import annotations
@@ -62,10 +73,22 @@ def minimal_valid_stage(family, n0: int, need: int) -> int:
     """Smallest stage M >= n0 whose column contains every base index plus shift.
 
     ``need`` is max(base index + shift) over the operands; lifting adds the
-    top embed offset of each crossed stage to all indices.
+    top embed offset of each crossed stage to all indices, so M is the first
+    stage whose room height(M) - 1 - top[M] reaches need - top[n0]. The room
+    never falls, because the top copy of stage n ends inside column n+1
+    (offs[-1] + height(n) <= height(n+1), which
+    ``test_copy_offsets_lie_a_column_apart`` pins), so a bisection over the
+    stages the top-sum table already holds finds M there; past them the
+    search climbs one stage at a time and builds no stage above M.
     """
-    M = n0
-    base = family._top_sums_to(n0)[n0]
+    top = family._top_sums_to(n0)
+    base = top[n0]
+    # the table's entries are contiguous from first_stage
+    held = range(n0, min(family.first_stage + len(top), n0 + LIFT_STAGE_CAP + 1))
+    M = n0 + bisect_left(held, need - base, key=lambda m: family.height(m) - 1 - top[m])
+    if M < held.stop:
+        return M
+    M -= 1  # the last held stage falls short: climb on from it
     while family._top_sums_to(M)[M] - base + need > family.height(M) - 1:
         M += 1
         if M - n0 > LIFT_STAGE_CAP:
@@ -256,17 +279,40 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
                  ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
                  start, step):
     """The pair walk from ``start(seed states)`` through the stages below
-    the :func:`_seed` stage, one ``step`` a stage."""
+    the :func:`_seed` stage, one ``step`` a stage: (the final states, the
+    factor the counts of a counting walk still owe).
+
+    While the walk holds one state x, a stage costs one :func:`_diagonal`
+    call on the window (t_lo - x, t_hi - x) and no step. That window holds
+    0 exactly when x lies inside the stage's window [t_lo, t_hi]; when
+    :func:`_diagonal` answers c > 0 the step could only add 0 to x, c ways,
+    so the state stays x and its count gains the factor c; c = 0 ends the
+    walk empty. The premise is ``test_copy_offsets_lie_a_column_apart``.
+    A step is linear in the counts and keeps or drops a state by its delta
+    alone, so multiplying the final counts by the product of these factors
+    gives what stepping every stage gives; a support walk drops the factor.
+    """
     S, seed = _seed(family, n0, M, lo, hi, ca, cb)
     cur = start(seed)
     top = family._top_sums_to(M)
     base = top[n0]
+    factor = 1
     for i in range(S - 1, n0 - 1, -1):
         if not cur:
             break
-        cur = step(family, i, cur, top[i] - base, lo, hi, ca, cb)
+        r = top[i] - base
+        if len(cur) == 1:
+            x = next(iter(cur))
+            same = _diagonal(family, i, ((lo - r - x, hi + r - x),), (ca.get(i), cb.get(i)))
+            if same is not None:
+                if not same:
+                    cur.clear()
+                    break
+                factor *= same
+                continue
+        cur = step(family, i, cur, r, lo, hi, ca, cb)
         _check_cap(len(cur), i)
-    return cur
+    return cur, factor
 
 
 def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
@@ -278,8 +324,9 @@ def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
     starts below the stages :func:`_seed` answers in closed form."""
     if lo > hi:
         return {}
-    return _pair_states(family, n0, M, lo, hi, constraints_a or {},
-                        constraints_b or {}, dict, _step)
+    cur, factor = _pair_states(family, n0, M, lo, hi, constraints_a or {},
+                               constraints_b or {}, dict, _step)
+    return {d: ways * factor for d, ways in cur.items()} if factor > 1 else cur
 
 
 def pair_diff_support(family, n0: int, M: int, lo: int, hi: int,
@@ -290,7 +337,7 @@ def pair_diff_support(family, n0: int, M: int, lo: int, hi: int,
     if lo > hi:
         return []
     return _pair_states(family, n0, M, lo, hi, constraints_a or {},
-                        constraints_b or {}, sorted, _support_step)
+                        constraints_b or {}, sorted, _support_step)[0]
 
 
 def _partnered(cur: list[int], others: list[int], a: int, b: int,
@@ -370,16 +417,65 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     return cur_p, cur_q
 
 
+def _multi_step(family, i: int, cur: dict[tuple[int, ...], int], r: int,
+                boxes: list[tuple[int, int]], picks: list, windows: list[tuple[int, int]],
+                same: int | None) -> dict[tuple[int, ...], int]:
+    """One stage of the multi walk: extend every state by the stage-i step
+    vectors, keeping those that can still end in the boxes with the
+    remaining reach r. ``windows`` are the viable step windows and
+    ``same`` what :func:`_diagonal` answers for them: the count of the
+    zero vector when it is the only one; otherwise each base offset finds
+    the partners of every other operand by bisection, and their product
+    gives the vectors. ``cur`` must be nonempty."""
+    # states that can still end in the boxes with the remaining reach r
+    bounds = [(lo - r, hi + r) for lo, hi in boxes]
+    if same is not None:
+        diffs = {(0,) * len(boxes): same}
+    else:
+        base_offs = family._stage_offsets(i, picks[0])
+        side_offs = [family._stage_offsets(i, p) for p in picks[1:]]
+        diffs = {}
+        for a in base_offs:
+            blocks = []
+            for offs, (w_lo, w_hi) in zip(side_offs, windows):
+                j = bisect_left(offs, a + w_lo)
+                block = [o - a for o in offs[j:bisect_right(offs, a + w_hi, j)]]
+                if not block:
+                    break
+                blocks.append(block)
+            else:
+                for dvec in product(*blocks):
+                    diffs[dvec] = diffs.get(dvec, 0) + 1
+    nxt: dict[tuple[int, ...], int] = {}
+    for state, ways in cur.items():
+        for dvec, mult in diffs.items():
+            new = tuple(map(add, state, dvec))
+            for (t_lo, t_hi), t in zip(bounds, new):
+                if not t_lo <= t <= t_hi:
+                    break
+            else:
+                nxt[new] = nxt.get(new, 0) + ways * mult
+    return nxt
+
+
 def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
                       constraints: list[dict[int, tuple[int, ...]] | None],
                       ) -> dict[tuple[int, ...], int]:
     """k-operand generalization: counts of word tuples (w_0..w_{k-1}) with
-    pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1.
+    pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1, one
+    :func:`_multi_step` a stage.
 
-    A stage takes its step vectors from :func:`_diagonal` when every window
-    fits inside the column; otherwise each base offset finds the partners
-    of every other operand by bisection, and their product gives the
-    vectors."""
+    While the walk holds one state x, a stage costs one :func:`_diagonal`
+    call on the windows (t_lo - x_t, t_hi - x_t) and no step. These all
+    hold 0 exactly when x lies inside every bound [t_lo, t_hi]; when
+    :func:`_diagonal` answers c > 0 the step could only add the zero
+    vector to x, c ways, so the state stays x and its count gains the
+    factor c; c = 0 ends the walk empty. The premise is
+    ``test_copy_offsets_lie_a_column_apart``. A step is linear in the
+    counts and keeps or drops a state by its deltas alone, so multiplying
+    the final counts by the product of these factors gives what stepping
+    every stage gives.
+    """
     k = len(constraints)
     if k < 2 or len(boxes) != k - 1:
         raise ValueError("need k >= 2 operands and k-1 boxes")
@@ -389,43 +485,26 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
     top = family._top_sums_to(M)
     base = top[n0]
     cur: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
+    factor = 1
     for i in range(M - 1, n0 - 1, -1):
         r = top[i] - base
-        # states that can still end in the boxes with the remaining reach r
-        bounds = [(lo - r, hi + r) for lo, hi in boxes]
-        # per-dimension viable step windows given the surviving states
-        windows = [(t_lo - max(col), t_hi - min(col))
-                   for (t_lo, t_hi), col in zip(bounds, zip(*cur))]
         picks = [c.get(i) for c in cons]
+        # per-dimension viable step windows given the surviving states
+        if len(cur) == 1:
+            (x,) = cur
+            windows = [(lo - r - s, hi + r - s) for (lo, hi), s in zip(boxes, x)]
+        else:
+            windows = [(lo - r - max(col), hi + r - min(col))
+                       for (lo, hi), col in zip(boxes, zip(*cur))]
         same = _diagonal(family, i, windows, picks)
         if same is not None:
-            diffs = {(0,) * (k - 1): same} if same else {}
-        else:
-            base_offs = family._stage_offsets(i, picks[0])
-            side_offs = [family._stage_offsets(i, p) for p in picks[1:]]
-            diffs = {}
-            for a in base_offs:
-                blocks = []
-                for offs, (w_lo, w_hi) in zip(side_offs, windows):
-                    j = bisect_left(offs, a + w_lo)
-                    block = [o - a for o in offs[j:bisect_right(offs, a + w_hi, j)]]
-                    if not block:
-                        break
-                    blocks.append(block)
-                else:
-                    for dvec in product(*blocks):
-                        diffs[dvec] = diffs.get(dvec, 0) + 1
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, ways in cur.items():
-            for dvec, mult in diffs.items():
-                new = tuple(map(add, state, dvec))
-                for (t_lo, t_hi), t in zip(bounds, new):
-                    if not t_lo <= t <= t_hi:
-                        break
-                else:
-                    nxt[new] = nxt.get(new, 0) + ways * mult
-        cur = nxt
+            if not same:
+                return {}
+            if len(cur) == 1:
+                factor *= same
+                continue
+        cur = _multi_step(family, i, cur, r, boxes, picks, windows, same)
         if not cur:
             break
         _check_cap(len(cur), i)
-    return cur
+    return {s: ways * factor for s, ways in cur.items()} if factor > 1 else cur

@@ -346,6 +346,18 @@ def test_correlate_max_rows_counts_rows(example_file, capsys):
     assert sorted(_csv(capsys)) == list(range(11))
 
 
+@pytest.mark.parametrize("rows", ["0", "-1"])
+def test_correlate_refuses_max_rows_below_one(example_file, capsys, rows):
+    argv = ["correlate", example_file, "--set", "0:0", "--powers", "1", "--range", "0..0",
+            "--max-rows", rows]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-rows {rows}: need at least 1\n"
+    assert main(argv[:-1] + ["1"]) == 0
+    assert _csv(capsys) == {0: 1}
+
+
 @pytest.mark.parametrize("flag, token", [
     ("--set", "1:5-2"), ("--set", "1:x"), ("--set", "15"), ("--target", "1:"),
     ("--target", "a:3"),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cutstack import engine
 from cutstack.afs4 import (AfsParams, ConstRule, HScaleRule, PrefixRule, RatioCycleRule,
                            WMinimalRule, preset_infinite_ergodic_index)
+from cutstack.errors import LiftError
 from cutstack.synthesis import DirectionSpec, synthesize_R, synthesize_three_way
 from cutstack.vl import ConstR, GeometricR, PowerR, PrefixR, VlFamily, VlSpec
 
@@ -53,28 +54,100 @@ def test_minimal_valid_stage_matches_reference(name, request):
             reference_minimal_valid_stage(fam, 0, 2600)
 
 
+def _fit(fam, n0, m):
+    """The largest need that stage m holds for a lift from stage n0."""
+    return fam.height(m) - 1 - sum(fam.offsets_between(t)[-1] for t in range(n0, m))
+
+
+# the deep_shift benchmark's families, materialized to stage 42 in its set-up
+LIFT = {
+    "preset": lambda: preset_infinite_ergodic_index(8),
+    "vl const": lambda: VlFamily(VlSpec(2, ConstR(4))),
+    "vl power": lambda: VlFamily(VlSpec(2, PowerR(Fraction(3), Fraction(1, 2)))),
+}
+
+
+def _built(fam):
+    """The highest stage the family has materialized."""
+    return len(fam._stages) if isinstance(fam, AfsParams) else len(fam._h) - 1
+
+
+@pytest.mark.parametrize("prebuilt", [False, True])
+@pytest.mark.parametrize("name", sorted(LIFT))
+def test_lift_stage_bisection_matches_reference(name, prebuilt):
+    """Every lift edge up to stage 40, from three base stages, on a family
+    whose top-sum table holds stage 42 (the bisection answers alone) and on
+    fresh ones searched deepest first and shallowest first."""
+    ref = LIFT[name]()
+    first = ref.first_stage
+    for n0 in (first, first + 1, first + 2):
+        needs = []
+        for m in range(n0, 41):
+            fit = _fit(ref, n0, m)
+            needs += [x for x in (fit - 1, fit, fit + 1) if x >= 0]
+        fam = LIFT[name]()
+        if prebuilt:
+            fam.ensure(42)
+            fam._top_sums_to(42)
+        for need in (needs[::-1] if n0 == first + 1 else needs):
+            assert (engine.minimal_valid_stage(fam, n0, need)
+                    == reference_minimal_valid_stage(ref, n0, need)), (n0, need)
+
+
+@pytest.mark.parametrize("name", sorted(LIFT))
+def test_lift_stage_search_builds_no_stage_past_its_answer(name):
+    ref = LIFT[name]()
+    fam = LIFT[name]()
+    first = fam.first_stage
+    # a climb from the fresh table, answers inside the table, then a climb
+    # on from the table's end
+    for m in (20, 12, 20, 21, 30):
+        built = _built(fam)
+        need = _fit(ref, first + 1, m)
+        assert engine.minimal_valid_stage(fam, first + 1, need) == m
+        assert _built(fam) == max(built, m), (m, built)
+    assert engine.minimal_valid_stage(fam, first + 1, _fit(ref, first + 1, 35) + 1) == 36
+    assert _built(fam) == 36
+
+
+def test_lift_stage_cap_holds_inside_the_table(monkeypatch):
+    """A table filled far above n0 still gives no lift stage beyond the cap."""
+    fam = LIFT["preset"]()
+    fam._top_sums_to(30)
+    monkeypatch.setattr(engine, "LIFT_STAGE_CAP", 4)
+    assert engine.minimal_valid_stage(fam, 2, _fit(fam, 2, 6)) == 6
+    with pytest.raises(LiftError, match=r"LIFT_STAGE_CAP=4 stages of n0=2 for need="):
+        engine.minimal_valid_stage(fam, 2, _fit(fam, 2, 6) + 1)
+
+
 def _walks(fam, n0):
     """Pair walks with and without letter constraints, a three-operand walk
-    and a lockstep walk, all with results, over the stages n0..n0+3."""
+    and a lockstep walk, all with results, over the stages n0..n0+3, and
+    lift-stage searches on either side of the edge of stage n0+12."""
     M = n0 + 3
     h = fam.height(n0)
     # copy 1 at stage M-1 and the top copy at n0 against copies 0: delta j
     j = fam.offsets_between(M - 1)[1] + fam.offsets_between(n0)[-1]
     lo, hi = j - h, j + h
     top = fam.cuts_between(n0) - 1
+    deep = _fit(fam, n0, n0 + 12)
     return [
         ("pair", n0, M, lo, hi, None, None),
         ("multi", n0, M, [(lo, hi), (-h, h)], [None, {n0 + 1: (0, 1)}, None]),
+        ("lift", n0, deep + 1),
         ("lockstep", 1, 2, (n0, M, lo, hi, None, None),
          (n0, M + 1, lo, hi, None, {n0: (top,)}), (j - 3 * h, j + 3 * h)),
         ("multi", n0, M, [(lo, hi), (lo, hi)], [{M - 1: (0,)}, None, {n0: (top,)}]),
         ("pair", n0, M, -h, h, {n0 + 1: (0, 1)}, {M - 1: (1,)}),
+        ("lift", n0, deep),
         ("pair", n0, M, lo, hi, {n0: (0,)}, {n0: (top,)}),
     ]
 
 
 def _run(fam, walk):
     kind, *args = walk
+    if kind == "lift":
+        return engine.minimal_valid_stage(fam, *args)
     if kind == "pair":
         return engine.pair_diff_counts(fam, *args)
     if kind == "multi":
@@ -112,9 +185,10 @@ def test_threads_filling_one_stage_table(name):
     walks = _walks(make(), first) + _walks(make(), first + 1)
     expected = [_run(make(), walk) for walk in walks]
     fam = make()
-    # ensure appends unguarded, so the columns come first: the threads race
-    # on the empty stage table only
-    fam.ensure(first + 6)
+    # ensure appends unguarded, so the columns come first (the deepest lift
+    # search ends at stage first + 14): the threads race on the empty stage
+    # table only
+    fam.ensure(first + 15)
     results = {}
 
     def work(k):

@@ -1,10 +1,14 @@
-"""Pair and lockstep walks that start below their closed-form seed.
+"""Pair and lockstep walks that start below their closed-form seed, and
+the one-state stages that the pair and multi walks take without a step.
 
 The oracle is the walk that starts at the zero state at stage M - 1 and
 steps down through every stage, written out here with its own offset
-differences, so a wrong seed state, weight or start stage shows as a
-different walk result.
+differences, so a wrong seed state, weight or start stage, or a wrong
+skipped stage or factor, shows as a different walk result.
 """
+
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from cutstack import engine, tower
 from cutstack.afs4 import AfsParams, ConstRule
 from cutstack.products import lambda_set
+from cutstack.synthesis import DirectionSpec, synthesize_R
 from cutstack.tower import LevelSet, correlation, intersection_measure
 from cutstack.vl import ConstR, VlFamily, VlSpec
 
@@ -26,6 +31,11 @@ def zero_family():
 @pytest.fixture(scope="module")
 def vl_four():
     return VlFamily(VlSpec(1, ConstR(4)))
+
+
+@pytest.fixture(scope="module")
+def synth_family():
+    return synthesize_R(DirectionSpec(ratios=(Fraction(1, 2),)), 6)[0]
 
 
 # fixture -> the widest lag the cases draw; the zero-spacer family climbs one
@@ -186,3 +196,117 @@ def test_seed_falls_back_to_the_walks_own_start(example_family):
     # a constraint at stage 7 keeps the seed above it
     assert engine._seed(example_family, 1, 9, 0, 10, {7: (0,)}, {})[0] == 8
     assert engine._seed(example_family, 1, 9, 0, 10, {8: (0,)}, {}) == (9, {0: 1})
+
+
+def _full_multi_walk(fam, n0, M, boxes, constraints):
+    """Every stage from M - 1 down to n0, from the zero state, for k
+    operands: each state extended by every tuple of allowed offsets."""
+    cons = [c or {} for c in constraints]
+    top = fam._top_sums_to(M)
+    cur = {(0,) * len(boxes): 1}
+    for i in range(M - 1, n0 - 1, -1):
+        offs = fam.offsets_between(i)
+        sides = [[offs[u] for u in c.get(i, range(len(offs)))] for c in cons]
+        r = top[i] - top[n0]
+        nxt = {}
+        for s, ways in cur.items():
+            for a, *rest in product(*sides):
+                t = tuple(x + b - a for x, b in zip(s, rest))
+                if all(lo - r <= v <= hi + r for (lo, hi), v in zip(boxes, t)):
+                    nxt[t] = nxt.get(t, 0) + ways
+        cur = nxt
+        if not cur:
+            break
+    return cur
+
+
+# families whose room grows with the column, so shifts made of word
+# differences at stages 8-20 lift to about stage 21; the others climb about
+# one stage per top spacer of lag, and the widest lag each draws keeps the
+# full multi walk short
+DEEP = ("preset_family", "synth_family", "vl_four")
+SHALLOW = {"zero_family": 40, "example_family": 600, "roomy_family": 3000}
+
+
+@st.composite
+def _word_differences(draw, fam, n0):
+    """The position difference of two words that differ at one or two of
+    the stages 8-20 and perhaps one below, one copy pair a stage, plus
+    -1, 0 or 1: the deep shifts of the benchmark's deep_shift workload."""
+    stages = draw(st.sets(st.integers(8, 20), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        stages.add(draw(st.integers(n0, 7)))
+    total = draw(st.sampled_from([-1, 0, 1]))
+    for t in stages:
+        offs = fam.offsets_between(t)
+        c, c2 = draw(st.lists(st.integers(0, len(offs) - 1), min_size=2, max_size=2,
+                              unique=True))
+        total += offs[c] - offs[c2]
+    return abs(total)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP + tuple(SHALLOW)))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_one_state_skips_match_full_walks(request, name, data):
+    """The pair walks and the three-operand multi walk, which take a
+    one-state diagonal stage with one multiplication, against the walks
+    that step every stage, with equal or differing letter constraints at
+    one stage above the level sets' own."""
+    fam = request.getfixturevalue(name)
+    A, B, C = (data.draw(level_sets(fam)) for _ in range(3))
+    kind = data.draw(st.sampled_from(["none", "equal", "differing"]))
+    if kind != "none":
+        t = data.draw(st.integers(fam.first_stage + 4, 20))
+        every = range(fam.cuts_between(t))
+        P = data.draw(st.sets(st.sampled_from(every), min_size=1))
+        Q = P if kind == "equal" else data.draw(st.sets(st.sampled_from(every), min_size=1))
+        A, B = A.constrain(t, tuple(P)), B.constrain(t, tuple(Q))
+        C = C.constrain(t, tuple(Q))
+    if name in DEEP:
+        j1, j2 = (data.draw(_word_differences(fam, A.stage)) for _ in range(2))
+    else:
+        j1, j2 = (data.draw(st.integers(0, SHALLOW[name])) for _ in range(2))
+    _, _, walk = tower._pair_walk(A, B, j1, j1)
+    full = _full_walk(fam, *walk)
+    assert engine.pair_diff_counts(fam, *walk) == full
+    assert engine.pair_diff_support(fam, *walk) == sorted(full)
+    shift = min(0, j1 - j2)
+    _, n0, M, boxes, cons = tower._walk([A, B, C], [(-shift, -shift), (j1 - shift, j1 - shift),
+                                                  (j2 - shift, j2 - shift)])
+    assert (engine.multi_diff_counts(fam, n0, M, boxes, cons)
+            == _full_multi_walk(fam, n0, M, boxes, cons))
+
+
+def test_deep_walks_step_only_their_word_stages(preset_family, monkeypatch):
+    """Shifts made of word differences at stages 15 and 9 (and 12 and 9 for
+    the third operand) of the preset lift to stage 16 and leave each walk
+    one state at every other stage, where the windows fit inside the
+    column: the pair walk steps 2 of its 15 stages and the multi walk 3."""
+    fam = preset_family
+    A = LevelSet.from_ranges(fam, 1, [(2, 4), (9, 10)])
+    offs = fam.offsets_between
+    j1 = offs(15)[3] - offs(15)[0] + offs(9)[1] - offs(9)[2]
+    j2 = offs(12)[2] - offs(12)[1] + offs(9)[1] - offs(9)[2]
+    steps = {"pair": [], "multi": []}
+    step, multi_step = engine._step, engine._multi_step
+
+    def counted(*args):
+        steps["pair"].append(args[1])
+        return step(*args)
+
+    def multi_counted(*args):
+        steps["multi"].append(args[1])
+        return multi_step(*args)
+
+    monkeypatch.setattr(engine, "_step", counted)
+    monkeypatch.setattr(engine, "_multi_step", multi_counted)
+    _, _, walk = tower._pair_walk(A, A, j1, j1)
+    assert walk[:2] == (1, 16) and engine._seed(fam, *walk)[0] == 16
+    assert engine.pair_diff_counts(fam, *walk) == _full_walk(fam, *walk)
+    assert correlation(A, A, j1) == Fraction(3, 64)
+    assert intersection_measure([A, A, A], [0, j1, j2]) == Fraction(3, 256)
+    _, n0, M, boxes, cons = tower._walk([A, A, A], [(0, 0), (j1, j1), (j2, j2)])
+    assert engine.multi_diff_counts(fam, n0, M, boxes, cons) == \
+        _full_multi_walk(fam, n0, M, boxes, cons)
+    assert steps == {"pair": [15, 9, 15, 9], "multi": [15, 12, 9, 15, 12, 9]}
