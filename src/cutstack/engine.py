@@ -283,11 +283,13 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
     factor the counts of a counting walk still owe).
 
     While the walk holds one state x, a stage costs one :func:`_diagonal`
-    call on the window (t_lo - x, t_hi - x) and no step. That window holds
-    0 exactly when x lies inside the stage's window [t_lo, t_hi]; when
-    :func:`_diagonal` answers c > 0 the step could only add 0 to x, c ways,
-    so the state stays x and its count gains the factor c; c = 0 ends the
-    walk empty. The premise is ``test_copy_offsets_lie_a_column_apart``.
+    call on the step window (t_lo - x, t_hi - x) and no step, where [t_lo,
+    t_hi] = [lo - r, hi + r] is the stage's window and r the reach of the
+    stages below it. The step window holds 0 exactly when x lies inside
+    [t_lo, t_hi]; when :func:`_diagonal` answers c > 0 the step could only
+    add 0 to x, c ways, so the state stays x and its count gains the
+    factor c; c = 0 ends the walk empty. The premise is
+    ``test_copy_offsets_lie_a_column_apart``.
     A step is linear in the counts and keeps or drops a state by its delta
     alone, so multiplying the final counts by the product of these factors
     gives what stepping every stage gives; a support walk drops the factor.
@@ -466,9 +468,10 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
     :func:`_multi_step` a stage.
 
     While the walk holds one state x, a stage costs one :func:`_diagonal`
-    call on the windows (t_lo - x_t, t_hi - x_t) and no step. These all
-    hold 0 exactly when x lies inside every bound [t_lo, t_hi]; when
-    :func:`_diagonal` answers c > 0 the step could only add the zero
+    call on the step windows (lo_t - r - x_t, hi_t + r - x_t) and no step,
+    where (lo_t, hi_t) is box t and r the reach of the stages below. These
+    all hold 0 exactly when x lies inside every bound [lo_t - r, hi_t + r];
+    when :func:`_diagonal` answers c > 0 the step could only add the zero
     vector to x, c ways, so the state stays x and its count gains the
     factor c; c = 0 ends the walk empty. The premise is
     ``test_copy_offsets_lie_a_column_apart``. A step is linear in the
