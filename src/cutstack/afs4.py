@@ -123,9 +123,10 @@ class StageParams:
 class AfsParams(Family):
     """Four-cut family driven by per-sequence rules (the generator descriptor).
 
-    Sequences are materialized lazily and cached; heights are arbitrary
-    precision integers. Subclasses may override ``_stage_params`` to drive
-    the spacer choices differently (the synthesizer does).
+    Stages are materialized lazily, one ``_stage_params`` call each; heights
+    are arbitrary precision integers. Subclasses may override
+    ``_stage_params`` to drive the spacer choices differently (the
+    synthesizer does).
     """
 
     kind = "afs4"
@@ -141,16 +142,14 @@ class AfsParams(Family):
             if isinstance(rule, RatioCycleRule) and name != "c":
                 raise SchemaError(f"ratio_cycle may drive only c, not sequence {name}")
         self.label = label
-        self._H = [1]
         self._h = [1]
         self._stages: list[StageParams] = []
-        self._offs: list[tuple[int, ...]] = []
 
     # -- materialization -----------------------------------------------------
 
     def _eval_rule(self, name: str, n: int, p_n: int | None = None) -> int:
         rule = self.rules[name]
-        H, h = self._H[n], self._h[n]
+        H, h = self._heights[n], self._h[n]
         if isinstance(rule, ConstRule):
             v = rule.value
         elif isinstance(rule, PrefixRule):
@@ -176,13 +175,13 @@ class AfsParams(Family):
         return v
 
     def _stage_params(self, n: int) -> StageParams:
-        p = self._H[n] + self._eval_rule("a", n)
-        return self._stage_tail(n, p, self._H[n] + self._eval_rule("c", n, p_n=p))
+        p = self._heights[n] + self._eval_rule("a", n)
+        return self._stage_tail(n, p, self._heights[n] + self._eval_rule("c", n, p_n=p))
 
     def _stage_tail(self, n: int, p: int, q: int) -> StageParams:
         """Stage n's parameters once p_n and q_n are chosen: ell_n and m_n
         from the b and d rules (W-minimal or evaluated)."""
-        H, h = self._H[n], self._h[n]
+        H, h = self._heights[n], self._h[n]
         if isinstance(self.rules["b"], WMinimalRule):
             ell = max(H, n * (p + q + 2 * h) + 1)
         else:
@@ -194,37 +193,30 @@ class AfsParams(Family):
             m = H + self._eval_rule("d", n)
         return StageParams(p - H, ell - H, q - H, m - H, p, ell, q, m)
 
-    def ensure(self, n: int) -> None:
-        while len(self._stages) < n:
-            k = len(self._stages)
-            sp = self._stage_params(k)
-            self._stages.append(sp)
-            self._offs.append((0, sp.p, sp.p + sp.ell, sp.p + sp.ell + sp.q))
-            self._h.append(sp.p + sp.ell + sp.q + self._H[k])
-            self._H.append(sp.p + sp.ell + sp.q + sp.m)
+    def _next_stage(self, n: int) -> tuple[tuple[int, ...], int]:
+        sp = self._stage_params(n)
+        self._stages.append(sp)
+        self._h.append(sp.p + sp.ell + sp.q + self._heights[n])
+        return (0, sp.p, sp.p + sp.ell, sp.p + sp.ell + sp.q), sp.p + sp.ell + sp.q + sp.m
 
     def params(self, n: int) -> StageParams:
+        if n < self.first_stage:
+            raise SchemaError("stage below base", stage=n)
         self.ensure(n + 1)
         return self._stages[n]
 
-    # -- Family interface ----------------------------------------------------
-
-    def height(self, n: int) -> int:
-        self.ensure(n)
-        return self._H[n]
-
     def marker(self, n: int) -> int:
         """h_n: one past the top of the last subcolumn copy."""
+        if n < self.first_stage:
+            raise SchemaError("stage below base", stage=n)
         self.ensure(n)
         return self._h[n]
 
+    # -- Family interface ----------------------------------------------------
+
     def height_profile(self, up_to: int) -> list[tuple[int, int]]:
         self.ensure(up_to)
-        return [(self._H[n], self._h[n]) for n in range(up_to + 1)]
-
-    def offsets_between(self, n: int) -> tuple[int, ...]:
-        self.ensure(n + 1)
-        return self._offs[n]
+        return [(self._heights[n], self._h[n]) for n in range(up_to + 1)]
 
     def descriptor(self) -> dict:
         return {

@@ -30,19 +30,20 @@ are the equal ones and one chain per (stage, adjacent copy pair), so the
 pair and lockstep walks start at S - 1 from those states, written in
 closed form (:func:`_seed`), and pay for the stages below S only.
 
-What a walk reads at a stage depends only on the family and the stage, so
-it lives in the family's stage table (:class:`cutstack.tower.Family`), which
-the walks fill lazily: for each (stage, allowed positions or none) the
-sorted offsets of those copies, and the prefix sums of the top offsets, from
+What a walk reads at a stage depends only on the family and the stage, so it
+lives in the family's stage table (:class:`cutstack.tower.Family`), built
+once a stage: heights, offsets and the prefix sums of the top offsets, from
 which the reach of the stages still to walk and the lift stage are read by
-subtraction. Distinct copies of a stage lie at least a column height
-apart, so a stage whose step windows fit strictly inside the column can
-only pair each copy with itself; such a diagonal stage costs one
-comparison of each window with the column height (:func:`_diagonal`) and
-reads no offset. Any other stage costs what its surviving states and the
-offset pairs inside the window cost: each offset finds its partners by
-bisection, and no table of all offset differences is built (quadratic in
-the cut count, which reaches the thousands on geometric vector families).
+subtraction. The walks fill one cache lazily: for each (stage, allowed
+positions or none) the sorted offsets of those copies. Distinct copies of a
+stage lie at least a column height apart, so a stage whose step windows fit
+strictly inside the column can only pair each copy with itself; such a
+diagonal stage costs one comparison of each window with the column height
+(:func:`_diagonal`) and reads no offset. Any other stage costs what its
+surviving states and the offset pairs inside the window cost: each offset
+finds its partners by bisection, and no table of all offset differences is
+built (quadratic in the cut count, which reaches the thousands on geometric
+vector families).
 
 A deep shift is a word difference at a few stages, so its walk holds one
 state through long runs of diagonal stages. While a pair or multi walk
@@ -52,8 +53,8 @@ pending factor by the stage's count, paid into the counts once at the end.
 
 The lift stage is the first whose room, height minus top-offset sum, holds
 the need. The room never falls, so :func:`minimal_valid_stage` bisects
-over the stages the top-sum table already holds and climbs one stage at a
-time only past them.
+over the stages the family has built and climbs one stage at a time only
+past them.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ def minimal_valid_stage(family, n0: int, need: int) -> int:
     never falls, because the top copy of stage n ends inside column n+1
     (offs[-1] + height(n) <= height(n+1), which
     ``test_copy_offsets_lie_a_column_apart`` pins), so a bisection over the
-    stages the top-sum table already holds finds M there; past them the
-    search climbs one stage at a time and builds no stage above M.
+    stages the family has built finds M there; past them the search climbs
+    one stage at a time and builds no stage above M.
     """
     top = family._top_sums_to(n0)
     base = top[n0]
-    # the table's entries are contiguous from first_stage
-    held = range(n0, min(family.first_stage + len(top), n0 + LIFT_STAGE_CAP + 1))
+    # the table is indexed by stage and holds every built stage
+    held = range(n0, min(len(top), n0 + LIFT_STAGE_CAP + 1))
     M = n0 + bisect_left(held, need - base, key=lambda m: family.height(m) - 1 - top[m])
     if M < held.stop:
         return M
@@ -138,13 +139,15 @@ def _diagonal(family, i: int, windows, picks) -> int | None:
 
 def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
                  ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-                 ) -> dict[int, int]:
+                 asked: bool = False) -> dict[int, int]:
     """The stage-i offset differences b - a in [d_lo, d_hi], each with the
     number of offset pairs (a, b) that give it. A window that can hold only
     the difference 0 is answered by :func:`_diagonal` without reading the
-    offsets; otherwise the partners of each offset are found by bisection."""
+    offsets; otherwise the partners of each offset are found by bisection.
+    ``asked`` says that the caller's :func:`_diagonal` call found this
+    window too wide to tell, so it is not asked again."""
     pa, pb = ca.get(i), cb.get(i)
-    same = _diagonal(family, i, ((d_lo, d_hi),), (pa, pb))
+    same = None if asked else _diagonal(family, i, ((d_lo, d_hi),), (pa, pb))
     if same is not None:
         return {0: same} if same else {}
     offs_a = family._stage_offsets(i, pa)
@@ -161,13 +164,13 @@ def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
 
 def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
           ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-          ) -> dict[int, int]:
+          asked: bool) -> dict[int, int]:
     """One stage of the top-down counting walk: extend every state by the
     stage-i offset differences b - a, keeping those that can still end in
     [lo, hi] with the remaining reach r. ``cur`` must be nonempty."""
     t_lo, t_hi = lo - r, hi + r
     # viable step sizes: some state must stay within window +- remaining reach
-    diffs = _stage_diffs(family, i, t_lo - max(cur), t_hi - min(cur), ca, cb)
+    diffs = _stage_diffs(family, i, t_lo - max(cur), t_hi - min(cur), ca, cb, asked)
     nxt: dict[int, int] = {}
     for s, ways in cur.items():
         for d, mult in diffs.items():
@@ -179,14 +182,14 @@ def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
 
 def _support_step(family, i: int, cur: list[int], r: int, lo: int, hi: int,
                   ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-                  ) -> list[int]:
+                  asked: bool = False) -> list[int]:
     """:func:`_step` without the counts: the sorted states it reaches from
     the sorted nonempty states ``cur``. The sums state + difference in the
     window that one entry x of the shorter of the two sorted lists makes
     are one slice of the longer list, shifted by x, so the Python loop runs
     over the shorter list only."""
     t_lo, t_hi = lo - r, hi + r
-    diffs = sorted(_stage_diffs(family, i, t_lo - cur[-1], t_hi - cur[0], ca, cb))
+    diffs = sorted(_stage_diffs(family, i, t_lo - cur[-1], t_hi - cur[0], ca, cb, asked))
     outer, inner = (cur, diffs) if len(cur) < len(diffs) else (diffs, cur)
     if len(outer) == 1:  # one slice, sorted and free of repeats already
         x = outer[0]
@@ -288,7 +291,8 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
     stages below it. The step window holds 0 exactly when x lies inside
     [t_lo, t_hi]; when :func:`_diagonal` answers c > 0 the step could only
     add 0 to x, c ways, so the state stays x and its count gains the
-    factor c; c = 0 ends the walk empty. The premise is
+    factor c; c = 0 ends the walk empty; None is handed to the step, which
+    then does not ask again. The premise is
     ``test_copy_offsets_lie_a_column_apart``.
     A step is linear in the counts and keeps or drops a state by its delta
     alone, so multiplying the final counts by the product of these factors
@@ -303,7 +307,8 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
         if not cur:
             break
         r = top[i] - base
-        if len(cur) == 1:
+        asked = len(cur) == 1
+        if asked:
             x = next(iter(cur))
             same = _diagonal(family, i, ((lo - r - x, hi + r - x),), (ca.get(i), cb.get(i)))
             if same is not None:
@@ -312,7 +317,7 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
                     break
                 factor *= same
                 continue
-        cur = step(family, i, cur, r, lo, hi, ca, cb)
+        cur = step(family, i, cur, r, lo, hi, ca, cb, asked)
         _check_cap(len(cur), i)
     return cur, factor
 

@@ -272,7 +272,7 @@ class SynthesizedParams(AfsParams):
             sp = super()._stage_params(n)
             self.trace.rows.append(TraceRow(n=n, mode="preset", p_n=sp.p, q_n=sp.q))
             return sp
-        H, h = self._H[n], self._h[n]
+        H, h = self._heights[n], self._h[n]
         target = self.spec.ratios[i - 1]
         P, Q = target.numerator, target.denominator
         if self.mode == "three-way" and target not in self.spec.r1:

@@ -72,53 +72,73 @@ class Family(ABC):
     """Shared interface of the tower constructions.
 
     Stage numbering starts at ``first_stage`` with a single unit-interval
-    level. A family supplies what its construction decides: the heights
-    (``height``) and where the copies of column n go inside column n+1
-    (``offsets_between``), materialized by ``ensure``, plus its
-    ``descriptor`` and ``height_profile``. Everything else is derived here
-    once: the cut count is the number of copies, the spacers of column n+1
-    are the levels the copies leave uncovered, and a level's width is the
-    product of the inverse cut counts below it. All derived data is cached.
-
-    The engine's walks read their per-stage inputs from a stage table that
-    the walks fill lazily: the offsets each walk selects at a stage, and the
-    prefix sums of the top offsets. Stage data never changes once
-    materialized, so two fills of one entry write the same value (as for the
-    column cache).
+    level. A family supplies only what its construction decides:
+    ``_next_stage(n)`` gives where the copies of column n go inside column
+    n+1 and the height of column n+1, and ``descriptor`` names the family.
+    Everything else is derived here once, into a stage table of lists
+    indexed by stage, whose entries below ``first_stage`` are padding that
+    every reader refuses: the heights, the offsets of each transition
+    n -> n+1, the level widths (products of the inverse cut counts below)
+    and the top-offset prefix sums. ``ensure`` appends the heights last, so
+    a held height means a complete stage. Two caches fill lazily: the
+    columns, and for the engine's walks the offsets at each (stage, allowed
+    positions or none). Stage data never changes once built, so two fills
+    of one entry write the same value.
     """
 
     kind: str = "?"
     first_stage: int = 0
 
     def __init__(self) -> None:
+        pad = [None] * self.first_stage
+        self._heights: list = pad + [1]
+        self._offsets: list = list(pad)
+        self._widths: list = pad + [Fraction(1)]
+        self._tops: list = pad + [0]
         self._columns: dict[int, Column] = {}
-        self._widths: dict[int, Fraction] = {}
         # (stage, allowed positions or None) -> offsets of those copies
         self._selected: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...]] = {}
-        # stage n -> sum of the top offsets of stages first_stage..n-1
-        self._top_sums: dict[int, int] = {self.first_stage: 0}
 
     @abstractmethod
-    def ensure(self, n: int) -> None:
-        """Materialize stage data up to and including stage n."""
-
-    @abstractmethod
-    def height(self, n: int) -> int:
-        """Number of levels of the stage-n column."""
-
-    @abstractmethod
-    def offsets_between(self, n: int) -> tuple[int, ...]:
-        """Base positions of the copies of column n inside column n+1, in
-        increasing order."""
+    def _next_stage(self, n: int) -> tuple[tuple[int, ...], int]:
+        """(the base positions of the copies of column n inside column n+1,
+        in increasing order, the height of column n+1), for a family built
+        through stage n."""
 
     @abstractmethod
     def descriptor(self) -> dict:
         """JSON-serializable description sufficient to rebuild the family."""
 
-    @abstractmethod
+    def ensure(self, n: int) -> None:
+        """Materialize stage data up to and including stage n."""
+        while len(self._heights) <= n:
+            k = len(self._heights) - 1
+            offs, height = self._next_stage(k)
+            self._offsets.append(offs)
+            self._widths.append(self._widths[k] / len(offs))
+            self._tops.append(self._tops[k] + offs[-1])
+            self._heights.append(height)
+
+    def height(self, n: int) -> int:
+        """Number of levels of the stage-n column."""
+        if n < self.first_stage:
+            raise SchemaError("stage below base", stage=n)
+        self.ensure(n)
+        return self._heights[n]
+
+    def offsets_between(self, n: int) -> tuple[int, ...]:
+        """Base positions of the copies of column n inside column n+1, in
+        increasing order."""
+        if n < self.first_stage:
+            raise SchemaError("stage below base", stage=n)
+        self.ensure(n + 1)
+        return self._offsets[n]
+
     def height_profile(self, up_to: int) -> list:
         """Exact heights of stages first_stage..up_to; families with an
         internal marker give (height, marker) pairs."""
+        self.ensure(up_to)
+        return [self._heights[n] for n in range(self.first_stage, up_to + 1)]
 
     def accumulation_ratios(self) -> set[Fraction] | None:
         """Declared accumulation set of p_n/q_n for rule-complete families."""
@@ -131,19 +151,14 @@ class Family(ABC):
     def level_width(self, n: int) -> Fraction:
         if n < self.first_stage:
             raise SchemaError("stage below base", stage=n)
-        w = self._widths.get(n)
-        if w is None:
-            w = Fraction(1)
-            for t in range(self.first_stage, n):
-                w /= self.cuts_between(t)
-            self._widths[n] = w
-        return w
+        if len(self._heights) <= n:
+            self.ensure(n)
+        return self._widths[n]
 
     def column(self, n: int) -> Column:
         col = self._columns.get(n)
         if col is not None:
             return col
-        self.ensure(n)
         if n == self.first_stage:
             col = Column(n, 1, (), (), 0)
         else:
@@ -164,20 +179,15 @@ class Family(ABC):
             offs = self._selected.setdefault((n, positions), offs)
         return offs
 
-    def _top_sums_to(self, n: int) -> dict[int, int]:
-        """The top-offset prefix sums, filled through stage n: entry t is the
-        most that stages first_stage..t-1 add to a position, so the stages
-        n0..t-1 add at most entry t minus entry n0."""
-        sums = self._top_sums
-        if n not in sums:
-            if n < self.first_stage:
-                raise SchemaError("stage below base", stage=n)
-            filled = n
-            while filled not in sums:  # entries are contiguous from first_stage
-                filled -= 1
-            for t in range(filled, n):
-                sums.setdefault(t + 1, sums[t] + self.offsets_between(t)[-1])
-        return sums
+    def _top_sums_to(self, n: int) -> list[int]:
+        """The top-offset prefix sums, built through stage n at least: entry
+        t is the most that stages first_stage..t-1 add to a position, so the
+        stages n0..t-1 add at most entry t minus entry n0."""
+        if n < self.first_stage:
+            raise SchemaError("stage below base", stage=n)
+        if len(self._heights) <= n:
+            self.ensure(n)
+        return self._tops
 
     def digest(self) -> str:
         blob = json.dumps(self.descriptor(), sort_keys=True).encode()
@@ -194,7 +204,6 @@ def build_column(family: Family, n: int) -> Column:
 
 def heights(family: Family, up_to: int):
     """Exact height sequence; families with an internal marker return pairs."""
-    family.ensure(up_to)
     return family.height_profile(up_to)
 
 

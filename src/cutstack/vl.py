@@ -257,8 +257,6 @@ class VlFamily(Family):
         if spec.L < 1:
             raise SchemaError("L must be positive")
         self.spec = spec
-        self._h = [None, 1]  # h[0] unused
-        self._offsets: list[tuple[int, ...]] = [()]
 
     def ensure(self, n: int) -> None:
         """Build every stage up to n, once the cut counts of all the
@@ -268,49 +266,42 @@ class VlFamily(Family):
         if self.spec.horizon is not None and n > self.spec.horizon:
             raise SchemaError(f"stage {n} beyond the materialization horizon "
                               f"{self.spec.horizon}")
-        built = len(self._h) - 1
+        built = len(self._heights) - 1
         if built >= n:
             return
         L = self.spec.L
-        cuts: list[int] = []
+        prev = len(self._offsets[built - 1]) if built > 1 else 0
         for m in range(built, n):  # transition m -> m+1
             r = r_value(self.spec.r, m)
             if r <= L:
                 raise SchemaError(f"need more than {L} subcolumns, got {r}", stage=m)
-            if m > 1 and r < (cuts[-1] if cuts else len(self._offsets[m - 1])):
+            if r < prev:
                 raise SchemaError("cut counts must be nondecreasing", stage=m)
             # every cut is materialized; cap them at the states a walk may hold
             if r > engine.STATE_CAP:
                 raise SchemaError(f"{r} cuts exceed STATE_CAP={engine.STATE_CAP}, "
                                   f"so stage {n} cannot be built", stage=m)
-            cuts.append(r)
-        for m, r in enumerate(cuts, built):
-            _, v = self.spec.s_of(m)
-            h = self._h[m]
-            # a copy and the (2L+1) h + sigma spacers on it span one step
-            step = (2 * L + 2) * h + sum(v)
-            offs = list(range(0, (r - L) * step, step))
-            for u in v:  # the next L copies carry h + u_d spacers each
-                offs.append(offs[-1] + 2 * h + u)
-            self._offsets.append(tuple(offs))
-            # the top of the last copy is g_m, and g_m spacers go above it
-            self._h.append(2 * (offs[-1] + h))
+            prev = r
+        super().ensure(n)
 
-    def height(self, n: int) -> int:
-        self.ensure(n)
-        return self._h[n]
+    def _next_stage(self, m: int) -> tuple[tuple[int, ...], int]:
+        L = self.spec.L
+        r = r_value(self.spec.r, m)
+        _, v = self.spec.s_of(m)
+        h = self._heights[m]
+        # a copy and the (2L+1) h + sigma spacers on it span one step
+        step = (2 * L + 2) * h + sum(v)
+        offs = list(range(0, (r - L) * step, step))
+        for u in v:  # the next L copies carry h + u_d spacers each
+            offs.append(offs[-1] + 2 * h + u)
+        # the top of the last copy is g_m, and g_m spacers go above it
+        return tuple(offs), 2 * (offs[-1] + h)
 
     def stack_height(self, n: int) -> int:
         """g_n: the height of the restacked subcolumns before the top spacers."""
+        if n < self.first_stage:
+            raise SchemaError("stage below base", stage=n)
         return self.height(n + 1) // 2
-
-    def offsets_between(self, n: int) -> tuple[int, ...]:
-        self.ensure(n + 1)
-        return self._offsets[n]
-
-    def height_profile(self, up_to: int) -> list[int]:
-        self.ensure(up_to)
-        return [self._h[n] for n in range(1, up_to + 1)]
 
     def descriptor(self) -> dict:
         return self.spec.to_json()

@@ -69,14 +69,14 @@ LIFT = {
 
 def _built(fam):
     """The highest stage the family has materialized."""
-    return len(fam._stages) if isinstance(fam, AfsParams) else len(fam._h) - 1
+    return len(fam._heights) - 1
 
 
 @pytest.mark.parametrize("prebuilt", [False, True])
 @pytest.mark.parametrize("name", sorted(LIFT))
 def test_lift_stage_bisection_matches_reference(name, prebuilt):
     """Every lift edge up to stage 40, from three base stages, on a family
-    whose top-sum table holds stage 42 (the bisection answers alone) and on
+    whose stage table holds stage 42 (the bisection answers alone) and on
     fresh ones searched deepest first and shallowest first."""
     ref = LIFT[name]()
     first = ref.first_stage
@@ -88,7 +88,6 @@ def test_lift_stage_bisection_matches_reference(name, prebuilt):
         fam = LIFT[name]()
         if prebuilt:
             fam.ensure(42)
-            fam._top_sums_to(42)
         for need in (needs[::-1] if n0 == first + 1 else needs):
             assert (engine.minimal_valid_stage(fam, n0, need)
                     == reference_minimal_valid_stage(ref, n0, need)), (n0, need)
@@ -174,6 +173,11 @@ def test_warmed_family_walks_like_a_fresh_one(name):
     warmed = [_run(warm, walk) for walk in targets]
     fresh = make()
     assert warmed == [_run(fresh, walk) for walk in targets]
+    # the table holds what one ensure to the same stage builds
+    table = make()
+    table.ensure(_built(warm))
+    for attr in ("_heights", "_offsets", "_widths", "_tops"):
+        assert getattr(warm, attr) == getattr(table, attr), attr
     # every walk has results; a lockstep walk gives one state set per walk
     assert all(all(r) if isinstance(r, tuple) else r for r in warmed)
 
@@ -185,9 +189,9 @@ def test_threads_filling_one_stage_table(name):
     walks = _walks(make(), first) + _walks(make(), first + 1)
     expected = [_run(make(), walk) for walk in walks]
     fam = make()
-    # ensure appends unguarded, so the columns come first (the deepest lift
-    # search ends at stage first + 14): the threads race on the empty stage
-    # table only
+    # ensure appends unguarded, so the stage table is built first (the
+    # deepest lift search ends at stage first + 14): the threads race on the
+    # lazily filled caches only (the walks fill the selected offsets)
     fam.ensure(first + 15)
     results = {}
 

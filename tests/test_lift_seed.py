@@ -310,3 +310,25 @@ def test_deep_walks_step_only_their_word_stages(preset_family, monkeypatch):
     assert engine.multi_diff_counts(fam, n0, M, boxes, cons) == \
         _full_multi_walk(fam, n0, M, boxes, cons)
     assert steps == {"pair": [15, 9, 15, 9], "multi": [15, 12, 9, 15, 12, 9]}
+
+
+@pytest.mark.parametrize("walk_fn", [engine.pair_diff_counts, engine.pair_diff_support])
+def test_one_state_walks_ask_diagonal_once_a_stage(preset_family, monkeypatch, walk_fn):
+    """The pair walk above holds one state at each of its stages 15..1 and
+    steps stages 15 and 9, which are not diagonal: the walk hands the
+    answer it got there to the step, so every stage asks once."""
+    fam = preset_family
+    A = LevelSet.from_ranges(fam, 1, [(2, 4), (9, 10)])
+    offs = fam.offsets_between
+    j1 = offs(15)[3] - offs(15)[0] + offs(9)[1] - offs(9)[2]
+    _, _, walk = tower._pair_walk(A, A, j1, j1)
+    asked = []
+    diagonal = engine._diagonal
+
+    def counted(family, i, *args):
+        asked.append(i)
+        return diagonal(family, i, *args)
+
+    monkeypatch.setattr(engine, "_diagonal", counted)
+    assert walk_fn(fam, *walk)
+    assert asked == list(range(15, 0, -1))

@@ -94,20 +94,11 @@ class _HandLaid(Family):
         super().__init__()
         self.offsets, self.top = offsets, top
 
-    def ensure(self, n):
-        pass
-
-    def height(self, n):
-        return self.top if n else 1
-
-    def offsets_between(self, n):
-        return self.offsets
+    def _next_stage(self, n):
+        return self.offsets, self.top
 
     def descriptor(self):
         return {}
-
-    def height_profile(self, up_to):
-        return [self.height(n) for n in range(up_to + 1)]
 
 
 def test_tiling_rejects_overlapping_copies_and_copies_past_the_top():
@@ -130,6 +121,20 @@ def test_heights_example(example_family, vl_small):
 def test_level_width(example_family, vl_small):
     assert example_family.level_width(2) == Fraction(1, 16)
     assert vl_small.level_width(3) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("name", ["preset_family", "vl_small"])
+def test_table_readers_refuse_stages_below_the_base(request, name):
+    """A stage below the base indexes the stage table from its end, so each
+    reader refuses it rather than answer for the highest built stage."""
+    fam = request.getfixturevalue(name)
+    readers = [fam.height, fam.offsets_between, fam.cuts_between, fam.level_width,
+               fam._top_sums_to]
+    readers += [fam.marker, fam.params] if name == "preset_family" else [fam.stack_height]
+    below = fam.first_stage - 1
+    for read in readers:
+        with pytest.raises(SchemaError, match=f"^stage {below}: stage below base$"):
+            read(below)
 
 
 def test_decompose_examples(example_family, vl_small):

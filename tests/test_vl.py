@@ -113,6 +113,10 @@ def test_rejects_small_or_decreasing_r():
         VlFamily(VlSpec(2, ConstR(2))).ensure(2)
     with pytest.raises(SchemaError):
         VlFamily(VlSpec(1, PrefixR((3, 2)))).ensure(3)
+    fam = VlFamily(VlSpec(1, PrefixR((3, 2))))
+    fam.ensure(2)  # the decrease spans two calls
+    with pytest.raises(SchemaError, match="^stage 2: cut counts must be nondecreasing$"):
+        fam.ensure(3)
 
 
 def test_horizon_cap():
@@ -164,6 +168,8 @@ def test_independence_precondition():
     I = LevelSet.level(fam, 1, 0)
     with pytest.raises(SchemaError):
         independence_check(fam, I, I, 1, 1, 2)  # u_L = 1 not below h_1 = 1
+    with pytest.raises(SchemaError, match="^stage 0: stage below base$"):
+        independence_check(fam, I, I, 0, 1, 2)  # vector families start at stage 1
 
 
 def test_independence_exact_small():
