@@ -22,10 +22,10 @@ COMPLEMENT = tuple(Fraction(p, q) for p, q in
                     (4, 5), (1, 7), (5, 6), (2, 7), (3, 7)])
 
 
-def show(label, family, trace=None):
+def show(label, family):
     print(f"\n== {label} (digest {family.digest()}) ==")
     for p, q in RATIOS:
-        v = classify(family, p, q, trace=trace)
+        v = classify(family, p, q)
         extras = []
         if v.swapped:
             extras.append("swapped")
@@ -39,9 +39,9 @@ def show(label, family, trace=None):
 
 def main():
     targets = (Fraction(1, 2), Fraction(1, 3))
-    fam, trace = synthesize_R(
+    fam, _ = synthesize_R(
         DirectionSpec(ratios=targets, complement=COMPLEMENT), 14)
-    show("ergodic directions exactly {1/2, 1/3}", fam, trace)
+    show("ergodic directions exactly {1/2, 1/3}", fam)
 
     tri, _ = synthesize_three_way(
         DirectionSpec(ratios=(Fraction(1, 2),), ergodic_subset=(),

@@ -155,8 +155,7 @@ class AfsParams(Family):
         elif isinstance(rule, PrefixRule):
             if n >= len(rule.values):
                 raise PrefixExhausted(
-                    f"sequence {name} has only {len(rule.values)} entries, stage {n} requested",
-                    needed=n + 1)
+                    f"sequence {name} has only {len(rule.values)} entries, stage {n} requested")
             v = rule.values[n]
         elif isinstance(rule, HScaleRule):
             v = _ceil_frac(rule.num * h, rule.den) + rule.plus
@@ -262,9 +261,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[StageCheck]:
-        return [c for c in self.checks if not c.passed]
 
 
 def validate_W(params: AfsParams, up_to: int) -> ValidationReport:

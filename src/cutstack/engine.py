@@ -249,14 +249,9 @@ def _seed(family, n0: int, M: int, lo: int, hi: int,
     S = max([n0] + [t + 1 for t in ca] + [t + 1 for t in cb])
     if S >= M:
         return M, {0: 1}
-    # heights never decrease: bisect for the first stage taller than hi
-    taller = M - 1
-    while S < taller:
-        mid = (S + taller) // 2
-        if family.height(mid) > hi:
-            taller = mid
-        else:
-            S = mid + 1
+    # heights never decrease and height(M - 1) > hi: bisect for the first
+    # stage taller than hi
+    S += bisect_right(range(S, M - 1), hi, key=family.height)
     top = family._top_sums_to(M)
     t_hi = hi + top[S] - top[n0]
     t_lo = lo - top[S] + top[n0]

@@ -18,10 +18,6 @@ class SchemaError(CutstackError):
 class PrefixExhausted(CutstackError):
     """An explicit enumeration prefix is too short for the requested operation."""
 
-    def __init__(self, message: str, needed: int | None = None):
-        self.needed = needed
-        super().__init__(message)
-
 
 class LiftError(CutstackError):
     """A level set cannot be re-expressed at a stage where the requested shift is valid."""

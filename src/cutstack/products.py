@@ -21,8 +21,7 @@ from math import gcd
 from .afs4 import AfsParams, is_preset_rule, validate_V
 from .errors import CertificateError, PrefixExhausted, SchemaError
 from .runs import RunSet
-from .synthesis import (SynthesisTrace, SynthesizedParams, block_partition,
-                        schedule_round)
+from .synthesis import SynthesizedParams, block_partition, schedule_round
 # return_support is no longer called here but stays bound by this name:
 # perfbench/test_perfbench.py checks that the tracer patches it here
 from .tower import (LevelSet, joint_return_set, return_support,  # noqa: F401
@@ -339,12 +338,12 @@ def _gap_scan(fam: AfsParams, p: int, q: int, threshold: int, scan_to: int,
 
 
 def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
-             trace: SynthesisTrace | None = None,
              negative_first: bool = False) -> Verdict:
     """Regime of T^p x T^q (or T^-p x T^q) for the given family.
 
     Certificates are issued only for rule-complete families: the stock preset
-    and synthesized recipes. The pair is reduced by gcd first and swapped to
+    and synthesized recipes, whose own trace is re-checked against the family
+    before any verdict. The pair is reduced by gcd first and swapped to
     p <= q if needed (products commute up to isomorphism); both adjustments
     are flagged on the verdict. A positive ``horizon`` adds the base-level
     product returns up to it to the facts of a family without a
@@ -354,10 +353,6 @@ def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
         raise ValueError("powers must be positive (negative first power via flag)")
     if horizon < 0:
         raise SchemaError(f"horizon {horizon} is negative (0 scans nothing)")
-    if trace is not None:
-        if not isinstance(family, SynthesizedParams):
-            raise CertificateError("trace supplied for a family without a recipe")
-        trace.recheck(family)
     g = gcd(p, q)
     rp, rq = p // g, q // g
     swapped = rp > rq

@@ -105,7 +105,7 @@ def separation(R: list[Fraction], S: list[Fraction], i: int, j: int,
     if len(S) < limit and not s_complete:
         raise PrefixExhausted(
             f"separation at block ({i}, {j}) needs {limit} complement entries, "
-            f"have {len(S)}", needed=limit)
+            f"have {len(S)}")
     return min(abs(r - s) for s in S[:limit])
 
 
@@ -118,10 +118,10 @@ class DirectionSpec:
     """Prescribed direction sets (all ratios reduced, in (0, 1)).
 
     ``ratios`` is the enumerated target set (R, or R2 for the three-regime
-    mode); ``ergodic_subset`` is R1 in the three-regime mode and equals
-    ``ratios`` otherwise. ``complement`` is the enumeration prefix of the
-    ratios meant to fall outside; ``complement_complete`` declares that no
-    further complement entries matter.
+    mode); ``ergodic_subset`` is R1 in the three-regime mode and None
+    otherwise, when R1 is ``ratios``. ``complement`` is the enumeration
+    prefix of the ratios meant to fall outside; ``complement_complete``
+    declares that no further complement entries matter.
     """
 
     ratios: tuple[Fraction, ...]
@@ -257,8 +257,11 @@ class SynthesizedParams(AfsParams):
     def __init__(self, spec: DirectionSpec, mode: str):
         if mode not in ("ergodic-set", "three-way"):
             raise SchemaError(f"unknown synthesis mode {mode!r}")
-        if mode == "three-way" and spec.ergodic_subset is None:
-            raise SchemaError("three-way synthesis needs an explicit ergodic subset")
+        # stages follow the mode but classify reads the subset: they must agree
+        if (mode == "three-way") != (spec.ergodic_subset is not None):
+            raise SchemaError("three-way synthesis needs an explicit ergodic subset"
+                              if mode == "three-way" else
+                              "ergodic-set synthesis takes no ergodic subset")
         super().__init__(HScaleRule(3), WMinimalRule(), HScaleRule(3, plus=1),
                          WMinimalRule(), label=f"synthesized-{mode}")
         self.spec = spec

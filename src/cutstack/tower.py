@@ -80,10 +80,10 @@ class Family(ABC):
     every reader refuses: the heights, the offsets of each transition
     n -> n+1, the level widths (products of the inverse cut counts below)
     and the top-offset prefix sums. ``ensure`` appends the heights last, so
-    a held height means a complete stage. Two caches fill lazily: the
-    columns, and for the engine's walks the offsets at each (stage, allowed
-    positions or none). Stage data never changes once built, so two fills
-    of one entry write the same value.
+    a held height means a complete stage. One cache fills lazily: for the
+    engine's walks, the selected offsets at each (stage, allowed positions
+    or none). Stage data never changes once built, so two fills of one
+    entry write the same value.
     """
 
     kind: str = "?"
@@ -95,7 +95,6 @@ class Family(ABC):
         self._offsets: list = list(pad)
         self._widths: list = pad + [Fraction(1)]
         self._tops: list = pad + [0]
-        self._columns: dict[int, Column] = {}
         # (stage, allowed positions or None) -> offsets of those copies
         self._selected: dict[tuple[int, tuple[int, ...] | None], tuple[int, ...]] = {}
 
@@ -140,10 +139,6 @@ class Family(ABC):
         self.ensure(up_to)
         return [self._heights[n] for n in range(self.first_stage, up_to + 1)]
 
-    def accumulation_ratios(self) -> set[Fraction] | None:
-        """Declared accumulation set of p_n/q_n for rule-complete families."""
-        return None
-
     def cuts_between(self, n: int) -> int:
         """Number of subcolumns stage n is cut into to form stage n+1."""
         return len(self.offsets_between(n))
@@ -154,19 +149,6 @@ class Family(ABC):
         if len(self._heights) <= n:
             self.ensure(n)
         return self._widths[n]
-
-    def column(self, n: int) -> Column:
-        col = self._columns.get(n)
-        if col is not None:
-            return col
-        if n == self.first_stage:
-            col = Column(n, 1, (), (), 0)
-        else:
-            offs, h, height = self.offsets_between(n - 1), self.height(n - 1), self.height(n)
-            # the gaps above each copy, up to the next copy or the top
-            gaps = zip((o + h for o in offs), offs[1:] + (height,))
-            col = Column(n, height, offs, tuple((s, t) for s, t in gaps if t > s), len(offs))
-        return self._columns.setdefault(n, col)
 
     def _stage_offsets(self, n: int, positions: tuple[int, ...] | None) -> tuple[int, ...]:
         """Offsets of the copies at ``positions`` (all copies for None) of
@@ -195,10 +177,15 @@ class Family(ABC):
 
 
 def build_column(family: Family, n: int) -> Column:
-    """Column of ``family`` at stage n (validated against its tiling invariant)."""
-    col = family.column(n)
-    if n > family.first_stage:
-        check_tiling(col, family.height(n - 1))
+    """Column of ``family`` at stage n, laid out from its stage table and
+    validated against its tiling invariant."""
+    if n == family.first_stage:
+        return Column(n, 1, (), (), 0)
+    offs, h, height = family.offsets_between(n - 1), family.height(n - 1), family.height(n)
+    # the gaps above each copy, up to the next copy or the top
+    gaps = zip((o + h for o in offs), offs[1:] + (height,))
+    col = Column(n, height, offs, tuple((s, t) for s, t in gaps if t > s), len(offs))
+    check_tiling(col, h)
     return col
 
 

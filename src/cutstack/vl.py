@@ -647,22 +647,21 @@ def admissible_vector(fam: VlFamily, E: list[LevelSet], F: list[LevelSet],
     return vector_index(L, v), v
 
 
-def sweep_probe(fam: VlFamily, E: list[LevelSet], F, n: int, count: int,
-                j: int | None = None):
+def sweep_probe(fam: VlFamily, E: list[LevelSet], F, n: int, count: int):
     """Least i <= count whose designated mixing time moves E onto F.
 
-    F is either a list of per-coordinate level sets or a WitnessPair (its
-    thinned product is probed through the same inclusion-exclusion). The hit
-    threshold is half the coordinatewise product, mirroring an epsilon = 1/4
-    two-sided mixing bound; for plain product sets the joint equals that
-    product exactly, so the probe's content is positivity at the designated
-    times. Returns None when no time within the budget hits (a probe miss,
-    not a disproof).
+    The times are ``t_times(fam, n, j, i)`` at the slot j that
+    ``admissible_vector`` picks for E and F at stage n. F is either a list
+    of per-coordinate level sets or a WitnessPair (its thinned product is
+    probed through the same inclusion-exclusion). The hit threshold is half
+    the coordinatewise product, mirroring an epsilon = 1/4 two-sided mixing
+    bound; for plain product sets the joint equals that product exactly, so
+    the probe's content is positivity at the designated times. Returns None
+    when no time within the budget hits (a probe miss, not a disproof).
     """
     pair = F if isinstance(F, WitnessPair) else None
     F_coords = pair.coordinates()[1] if pair else list(F)
-    if j is None:
-        j, _ = admissible_vector(fam, E, F_coords, n)
+    j, _ = admissible_vector(fam, E, F_coords, n)
     half = Fraction(1, 2)
     for i in range(1, count + 1):
         t = t_times(fam, n, j, i)

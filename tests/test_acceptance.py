@@ -269,7 +269,7 @@ def test_criterion_10_synthesis_round_trip():
     fam, trace = synthesize_R(DirectionSpec(ratios=(HALF, THIRD), complement=S), 12)
     assert validate_V(fam, 12).ok
     trace.recheck(fam)
-    v = classify(fam, 1, 2, trace=trace)
+    v = classify(fam, 1, 2)
     assert (v.regime, v.basis) == (REGIME_ERGODIC, "certificate")
     v = classify(fam, 1, 3)
     assert (v.regime, v.basis) == (REGIME_ERGODIC, "certificate")

@@ -126,6 +126,12 @@ THREE_WAY_NO_SUBSET = {
                   "complement": [], "complement_complete": False},
 }
 
+ERGODIC_SET_WITH_SUBSET = {
+    "format_version": 1, "kind": "afs4",
+    "synthesis": {"mode": "ergodic-set", "ratios": ["1/2", "1/3"], "ergodic_subset": ["1/2"],
+                  "complement": ["2/5", "1/4", "2/3", "3/5"], "complement_complete": False},
+}
+
 
 @pytest.mark.parametrize("doc, message", [
     (dict(EXAMPLE, rules=dict(EXAMPLE["rules"], a={"kind": "w_minimal"})),
@@ -133,11 +139,17 @@ THREE_WAY_NO_SUBSET = {
     (dict(EXAMPLE, rules=dict(EXAMPLE["rules"], b={"kind": "ratio_cycle", "ratios": ["1/2"]})),
      "ratio_cycle may drive only c, not sequence b"),
     (THREE_WAY_NO_SUBSET, "three-way synthesis needs an explicit ergodic subset"),
+    (ERGODIC_SET_WITH_SUBSET, "ergodic-set synthesis takes no ergodic subset"),
+    (dict(ERGODIC_SET_WITH_SUBSET, synthesis=dict(ERGODIC_SET_WITH_SUBSET["synthesis"],
+                                                  ratios=["1/2"], ergodic_subset=[])),
+     "ergodic-set synthesis takes no ergodic subset"),
 ])
 def test_build_refuses_a_rule_the_family_cannot_apply(tmp_path, capsys, doc, message):
     """A misplaced rule used to fail only when a stage evaluated it (w_minimal
-    on a printed "resolved inline"), and a three-way recipe without an ergodic
-    subset loaded and made every target ergodic."""
+    on a printed "resolved inline"); a three-way recipe without an ergodic
+    subset loaded and made every target ergodic; and an ergodic-set recipe
+    with one made every target ergodic while ``classify`` certified the
+    targets outside the subset as exactly proportional."""
     assert main(["build", _write(tmp_path, "bad.json", doc), "--stage", "1"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -252,6 +252,13 @@ def test_nonconservativity_base_stage(preset_family):
     assert nonconservativity_base_stage(preset_family, 1, 2) == 3
     with pytest.raises(ValueError):
         nonconservativity_base_stage(preset_family, 2, 1)
+    # q_n = 2 p_n at every stage: the gap holds throughout the scanned prefix,
+    # and only exact proportionality there is admissible
+    rules = preset_family.rules
+    exact = AfsParams(rules["a"], rules["b"], RatioCycleRule((half,)), rules["d"])
+    with pytest.raises(CertificateError, match="no admissible base stage"):
+        nonconservativity_base_stage(exact, 1, 2)
+    assert nonconservativity_base_stage(exact, 1, 2, allow_exact=True) == 3
 
 
 def test_limit_ratio_membership():
@@ -270,6 +277,12 @@ def test_limit_ratio_membership():
     # constant-spacer rules accumulate at 1 only
     assert limit_ratio_membership(prefix_fam, 1, 1)[0] == MEMBER
     assert limit_ratio_membership(prefix_fam, 1, 2)[0] == NON_MEMBER
+    # a constant a beside a scaled c declares no accumulation set: prefix evidence
+    unscaled = AfsParams(ConstRule(3), ConstRule(10), HScaleRule(2), ConstRule(20))
+    assert limit_ratio_membership(unscaled, 1, 2)[0] == UNKNOWN
+    synthesized, _ = synthesize_R(DirectionSpec(ratios=(half,)), 4)
+    assert limit_ratio_membership(synthesized, 1, 2)[0] == MEMBER
+    assert limit_ratio_membership(synthesized, 1, 3)[0] == NON_MEMBER
 
 
 @pytest.mark.parametrize("p, q", [(0, 0), (-1, 2), (0, 3), (3, 2)])
@@ -308,8 +321,8 @@ def test_classify_preset(preset_family):
 
 
 def test_classify_synthesized_ergodic():
-    fam, trace = synthesize_R(DirectionSpec(ratios=(half,)), 8)
-    v = classify(fam, 1, 2, trace=trace)
+    fam, _ = synthesize_R(DirectionSpec(ratios=(half,)), 8)
+    v = classify(fam, 1, 2)
     assert v.regime == REGIME_ERGODIC and v.basis == "certificate"
     v = classify(fam, 1, 2, negative_first=True)
     assert v.regime == REGIME_ERGODIC  # certified for the inverse first power too
@@ -335,9 +348,3 @@ def test_classify_complement_certificate():
 def test_classify_prefix_evidence(example_family):
     v = classify(example_family, 1, 2, horizon=40)
     assert v.regime == REGIME_UNKNOWN and v.basis == "prefix-evidence"
-
-
-def test_classify_rejects_bad_trace(example_family):
-    fam, trace = synthesize_R(DirectionSpec(ratios=(half,)), 6)
-    with pytest.raises(CertificateError):
-        classify(example_family, 1, 2, trace=trace)

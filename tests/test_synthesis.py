@@ -152,6 +152,14 @@ def test_three_way_requires_subset():
         synthesize_three_way(DirectionSpec(ratios=(half,)), 4)
 
 
+def test_ergodic_set_refuses_a_subset():
+    """classify reads the subset, so a recipe that ignores it would be
+    certified as another family."""
+    for subset in ((half,), ()):
+        with pytest.raises(SchemaError, match="ergodic-set synthesis takes no ergodic subset"):
+            synthesize_R(DirectionSpec(ratios=(half, third), ergodic_subset=subset), 4)
+
+
 def test_degenerate_containment_matches_plain_synthesis():
     ratios = (half,)
     plain, _ = synthesize_R(DirectionSpec(ratios=ratios), 8)

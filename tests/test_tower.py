@@ -10,8 +10,8 @@ from cutstack.afs4 import AfsParams, ConstRule
 from cutstack import engine
 from cutstack.errors import LiftError, SchemaError
 from cutstack.naive import SPACER, NaiveTower
-from cutstack.tower import (Family, LevelSet, apply_power, build_column, check_tiling,
-                            correlation, correlation_profile, decompose, heights,
+from cutstack.tower import (Family, LevelSet, apply_power, build_column, correlation,
+                            correlation_profile, decompose, heights,
                             intersection_measure, joint_return_set,
                             product_correlation, return_support, triple_correlation)
 from cutstack.vl import ConstR, PowerR, VlFamily, VlSpec, r_value
@@ -34,7 +34,7 @@ def test_base_column(example_family, vl_small):
 def test_tiling_through_stage_8(preset_family, example_family):
     for fam in (preset_family, example_family):
         for n in range(fam.first_stage + 1, 9):
-            check_tiling(fam.column(n), fam.height(n - 1))
+            build_column(fam, n)
 
 
 def _naive_layout(naive, m):
@@ -105,11 +105,8 @@ def test_tiling_rejects_overlapping_copies_and_copies_past_the_top():
     good = build_column(_HandLaid((0, 2), 4), 1)
     assert (good.spacer_ranges, good.cuts) == (((1, 2), (3, 4)), 2)
     for offsets, top in (((0, 2, 2), 4), ((0, 3), 3), ((1, 2), 3)):
-        fam = _HandLaid(offsets, top)
         with pytest.raises(SchemaError, match="stage 1: "):
-            check_tiling(fam.column(1), 1)
-        with pytest.raises(SchemaError, match="stage 1: "):
-            build_column(_HandLaid(offsets, top), 1)  # a fresh column cache
+            build_column(_HandLaid(offsets, top), 1)
 
 
 def test_heights_example(example_family, vl_small):
@@ -361,6 +358,14 @@ def test_correlation_profile_matches_per_lag(example_family, roomy_family, vl_sm
         [correlation(A, B, j) for j in range(lo, hi + 1, step)]
 
 
+def test_constrain_twice_keeps_the_intersection(example_family):
+    A = LevelSet.level(example_family, 1, 0)
+    assert A.constrain(1, (0, 1, 2)).constrain(1, (1, 2, 3)).letter_constraints == \
+        ((1, (1, 2)),)
+    with pytest.raises(SchemaError, match="^stage 1: constraint intersection is empty$"):
+        A.constrain(1, (0,)).constrain(1, (1,))
+
+
 def test_correlation_profile_cases(example_family, vl_small):
     fam = example_family
     I = LevelSet.level(fam, 0, 0)
@@ -406,16 +411,6 @@ def test_measure_preserved_property(j, idx):
     if j < 0 and min(idx) + j < 0:
         return
     assert apply_power(A, j).measure() == A.measure()
-
-
-def test_concurrent_column_cache():
-    from concurrent.futures import ThreadPoolExecutor
-
-    fam = AfsParams(ConstRule(3), ConstRule(10), ConstRule(4), ConstRule(20))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        cols = list(pool.map(lambda n: fam.column(n % 7), range(56)))
-    for col in cols:
-        assert col is fam.column(col.stage)
 
 
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (-1, 2), (2, -3)])

@@ -183,6 +183,9 @@ def test_independence_exact_small():
     assert rep_f.ok
     single = independence_check(fam, I, J, 2, 1, 1)
     assert single.ok and not single.pairs  # vacuous with one time
+    assert rep_f.lines() == ["variant=forward n=2 j=1", "marginal i=1: 1/3",
+                             "marginal i=2: 1/3",
+                             "pair (1,2): joint=1/9 product=1/9 equal=True"]
 
 
 def test_independence_two_cut_family(vl_small):
