@@ -20,7 +20,7 @@ from .synthesis import (DirectionSpec, SynthesisTrace, block_partition,
                         pair_schedule, separation, synthesize_R,
                         synthesize_three_way)
 from .tower import (Column, Family, LevelSet, apply_power, build_column,
-                    correlation, correlation_profile, decompose, heights,
+                    correlation, correlation_profile, decompose,
                     intersection_measure, product_correlation, return_support,
                     triple_correlation)
 from .vl import (IndependenceReport, VlFamily, VlSpec, WitnessPair, build_vl,
@@ -36,7 +36,7 @@ __all__ = [
     "WitnessPair", "apply_power", "block_partition", "build_column",
     "build_vl", "classify", "correlation", "correlation_profile", "decompose",
     "divisibility_condition", "enumerate_vectors", "format_rational",
-    "gap_condition", "heights", "independence_check", "intersection_measure",
+    "gap_condition", "independence_check", "intersection_measure",
     "k_intervals", "lambda_set", "limit_ratio_membership", "pair_schedule",
     "parse_rational", "preset_infinite_ergodic_index", "product_correlation",
     "return_support", "s_index", "separation", "series_index",

@@ -126,7 +126,9 @@ class AfsParams(Family):
     Stages are materialized lazily, one ``_stage_params`` call each; heights
     are arbitrary precision integers. Subclasses may override
     ``_stage_params`` to drive the spacer choices differently (the
-    synthesizer does).
+    synthesizer does). Markers and stage parameters are read off the stage
+    table: transition n places its copies at (0, p_n, p_n + ell_n,
+    p_n + ell_n + q_n) inside a column of height H_{n+1}.
     """
 
     kind = "afs4"
@@ -142,14 +144,12 @@ class AfsParams(Family):
             if isinstance(rule, RatioCycleRule) and name != "c":
                 raise SchemaError(f"ratio_cycle may drive only c, not sequence {name}")
         self.label = label
-        self._h = [1]
-        self._stages: list[StageParams] = []
 
     # -- materialization -----------------------------------------------------
 
     def _eval_rule(self, name: str, n: int, p_n: int | None = None) -> int:
         rule = self.rules[name]
-        H, h = self._heights[n], self._h[n]
+        H, h = self._heights[n], self.marker(n)
         if isinstance(rule, ConstRule):
             v = rule.value
         elif isinstance(rule, PrefixRule):
@@ -180,7 +180,7 @@ class AfsParams(Family):
     def _stage_tail(self, n: int, p: int, q: int) -> StageParams:
         """Stage n's parameters once p_n and q_n are chosen: ell_n and m_n
         from the b and d rules (W-minimal or evaluated)."""
-        H, h = self._heights[n], self._h[n]
+        H, h = self._heights[n], self.marker(n)
         if isinstance(self.rules["b"], WMinimalRule):
             ell = max(H, n * (p + q + 2 * h) + 1)
         else:
@@ -194,28 +194,24 @@ class AfsParams(Family):
 
     def _next_stage(self, n: int) -> tuple[tuple[int, ...], int]:
         sp = self._stage_params(n)
-        self._stages.append(sp)
-        self._h.append(sp.p + sp.ell + sp.q + self._heights[n])
         return (0, sp.p, sp.p + sp.ell, sp.p + sp.ell + sp.q), sp.p + sp.ell + sp.q + sp.m
 
     def params(self, n: int) -> StageParams:
-        if n < self.first_stage:
-            raise SchemaError("stage below base", stage=n)
-        self.ensure(n + 1)
-        return self._stages[n]
+        self._built(n, n + 1)
+        (_, p, pl, plq), H = self._offsets[n], self._heights[n]
+        ell, q, m = pl - p, plq - pl, self._heights[n + 1] - plq
+        return StageParams(p - H, ell - H, q - H, m - H, p, ell, q, m)
 
     def marker(self, n: int) -> int:
         """h_n: one past the top of the last subcolumn copy."""
-        if n < self.first_stage:
-            raise SchemaError("stage below base", stage=n)
-        self.ensure(n)
-        return self._h[n]
+        self._built(n, n)
+        return self._offsets[n - 1][-1] + self._heights[n - 1] if n else 1
 
     # -- Family interface ----------------------------------------------------
 
     def height_profile(self, up_to: int) -> list[tuple[int, int]]:
         self.ensure(up_to)
-        return [(self._heights[n], self._h[n]) for n in range(up_to + 1)]
+        return [(self._heights[n], self.marker(n)) for n in range(up_to + 1)]
 
     def descriptor(self) -> dict:
         return {
@@ -272,7 +268,6 @@ def validate_W(params: AfsParams, up_to: int) -> ValidationReport:
     limit itself.
     """
     checks: list[StageCheck] = []
-    params.ensure(up_to + 1)
     for n in range(up_to + 1):
         sp = params.params(n)
         H, h = params.height(n), params.marker(n)

@@ -180,7 +180,6 @@ def nonconservativity_base_stage(family: AfsParams, p: int, q: int,
     if not 1 <= p < q:
         raise ValueError(f"powers p={p}, q={q} must satisfy 1 <= p < q")
     N = max(q + 1, q // (q - p) + 1)
-    family.ensure(_SCAN_TO + 1)
     for n in range(_SCAN_TO + 1):
         sp = family.params(n)
         small_gap = gap_condition(family, n, p, q) and not (
@@ -216,7 +215,6 @@ def limit_ratio_membership(family: AfsParams, p: int, q: int) -> tuple[str, str]
     if acc is not None:
         verdict = MEMBER if ratio in acc else NON_MEMBER
         return verdict, f"declared accumulation set {sorted(acc)}"
-    family.ensure(_SCAN_TO + 1)
     close = [n for n in range(_SCAN_TO + 1)
              if abs(Fraction(family.params(n).p, family.params(n).q) - ratio) < _NEAR]
     return UNKNOWN, f"stages within {_NEAR} of {ratio} in prefix: {close}"
@@ -439,7 +437,6 @@ def classify(family: AfsParams, p: int, q: int, horizon: int = 0,
         return verdict(REGIME_NOT_CONS, threshold, exceptional)
 
     # No rule certificate: prefix evidence only.
-    family.ensure(_SCAN_TO + 1)
     gap_hits = [n for n in range(_SCAN_TO + 1) if gap_condition(family, n, rp, rq)]
     div_hits = [n for n in range(_SCAN_TO + 1)
                 if divisibility_condition(family, n, rp, rq, 0, 0) is not None]

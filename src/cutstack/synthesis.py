@@ -20,11 +20,13 @@ the emitted family by pure integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import engine
 from .afs4 import AfsParams, HScaleRule, StageParams, WMinimalRule
-from .errors import CertificateError, PrefixExhausted, SchemaError
+from .errors import CertificateError, CutstackError, PrefixExhausted, SchemaError
 from .measure import format_rational
 
 # ---------------------------------------------------------------------------
@@ -169,13 +171,20 @@ class TraceRow:
     q_n: int = 0
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "n": self.n, "mode": self.mode, "i": self.i, "j": self.j,
             "k": self.k, "l": self.l,
             "target": format_rational(self.target) if self.target else None,
             "delta": format_rational(self.delta) if self.delta else None,
-            "t": str(self.t), "p_n": str(self.p_n), "q_n": str(self.q_n),
         }
+        for name in ("t", "p_n", "q_n"):
+            try:
+                doc[name] = str(getattr(self, name))
+            except ValueError:  # str() refuses an integer past the interpreter's digit limit
+                raise CutstackError(f"trace stage {self.n}: {name} holds an integer of more "
+                                    f"than {sys.get_int_max_str_digits()} digits, too long "
+                                    "to print") from None
+        return doc
 
 
 def solve_minimal_t(H: int, h: int, n: int, P: int, Q: int, j: int,
@@ -275,7 +284,7 @@ class SynthesizedParams(AfsParams):
             sp = super()._stage_params(n)
             self.trace.rows.append(TraceRow(n=n, mode="preset", p_n=sp.p, q_n=sp.q))
             return sp
-        H, h = self._heights[n], self._h[n]
+        H, h = self._heights[n], self.marker(n)
         target = self.spec.ratios[i - 1]
         P, Q = target.numerator, target.denominator
         if self.mode == "three-way" and target not in self.spec.r1:
@@ -320,6 +329,10 @@ class SynthesizedParams(AfsParams):
 def _synthesize(spec: DirectionSpec, mode: str,
                 up_to: int) -> tuple[SynthesizedParams, SynthesisTrace]:
     fam = SynthesizedParams(spec, mode)
+    # every requested stage is built, so the lift cap bounds them as in LevelSet
+    if up_to - fam.first_stage > engine.LIFT_STAGE_CAP:
+        raise SchemaError(f"more than LIFT_STAGE_CAP={engine.LIFT_STAGE_CAP} "
+                          f"stages above the first stage {fam.first_stage}", stage=up_to)
     fam.ensure(up_to + 1)
     fam.trace.recheck(fam)
     return fam, fam.trace

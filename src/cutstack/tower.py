@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,10 +81,12 @@ class Family(ABC):
     every reader refuses: the heights, the offsets of each transition
     n -> n+1, the level widths (products of the inverse cut counts below)
     and the top-offset prefix sums. ``ensure`` appends the heights last, so
-    a held height means a complete stage. One cache fills lazily: for the
-    engine's walks, the selected offsets at each (stage, allowed positions
-    or none). Stage data never changes once built, so two fills of one
-    entry write the same value.
+    a held height means a complete stage. Every reader goes through one
+    gate, ``_built``, which refuses a stage below the base and calls
+    ``ensure`` only for a stage the table lacks. One cache fills lazily: for
+    the engine's walks, the selected offsets at each (stage, allowed
+    positions or none). Stage data never changes once built, so two fills
+    of one entry write the same value.
     """
 
     kind: str = "?"
@@ -118,19 +121,22 @@ class Family(ABC):
             self._tops.append(self._tops[k] + offs[-1])
             self._heights.append(height)
 
-    def height(self, n: int) -> int:
-        """Number of levels of the stage-n column."""
+    def _built(self, n: int, through: int) -> None:
+        """Refuse a stage n below the base; build through ``through`` unless held."""
         if n < self.first_stage:
             raise SchemaError("stage below base", stage=n)
-        self.ensure(n)
+        if len(self._heights) <= through:
+            self.ensure(through)
+
+    def height(self, n: int) -> int:
+        """Number of levels of the stage-n column."""
+        self._built(n, n)
         return self._heights[n]
 
     def offsets_between(self, n: int) -> tuple[int, ...]:
         """Base positions of the copies of column n inside column n+1, in
         increasing order."""
-        if n < self.first_stage:
-            raise SchemaError("stage below base", stage=n)
-        self.ensure(n + 1)
+        self._built(n, n + 1)
         return self._offsets[n]
 
     def height_profile(self, up_to: int) -> list:
@@ -144,10 +150,7 @@ class Family(ABC):
         return len(self.offsets_between(n))
 
     def level_width(self, n: int) -> Fraction:
-        if n < self.first_stage:
-            raise SchemaError("stage below base", stage=n)
-        if len(self._heights) <= n:
-            self.ensure(n)
+        self._built(n, n)
         return self._widths[n]
 
     def _stage_offsets(self, n: int, positions: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -165,10 +168,7 @@ class Family(ABC):
         """The top-offset prefix sums, built through stage n at least: entry
         t is the most that stages first_stage..t-1 add to a position, so the
         stages n0..t-1 add at most entry t minus entry n0."""
-        if n < self.first_stage:
-            raise SchemaError("stage below base", stage=n)
-        if len(self._heights) <= n:
-            self.ensure(n)
+        self._built(n, n)
         return self._tops
 
     def digest(self) -> str:
@@ -187,11 +187,6 @@ def build_column(family: Family, n: int) -> Column:
     col = Column(n, height, offs, tuple((s, t) for s, t in gaps if t > s), len(offs))
     check_tiling(col, h)
     return col
-
-
-def heights(family: Family, up_to: int):
-    """Exact height sequence; families with an internal marker return pairs."""
-    return family.height_profile(up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +405,9 @@ def correlation_profile(A: LevelSet, B: LevelSet, lo: int, hi: int,
     """
     if step < 1:
         raise ValueError("step must be positive")
+    if (hi - lo) // step >= sys.maxsize:  # len() of such a range overflows
+        raise ValueError(f"lag grid {lo}..{hi} with step {step} holds more than "
+                         f"sys.maxsize={sys.maxsize} lags")
     lags = range(lo, hi + 1, step)
     if not lags or A.is_empty() or B.is_empty():
         return [_ZERO] * len(lags)

@@ -256,6 +256,9 @@ class VlFamily(Family):
         super().__init__()
         if spec.L < 1:
             raise SchemaError("L must be positive")
+        if spec.horizon is not None and spec.horizon < self.first_stage:
+            raise SchemaError(f"horizon {spec.horizon} is below the first stage "
+                              f"{self.first_stage}")
         self.spec = spec
 
     def ensure(self, n: int) -> None:
@@ -299,9 +302,8 @@ class VlFamily(Family):
 
     def stack_height(self, n: int) -> int:
         """g_n: the height of the restacked subcolumns before the top spacers."""
-        if n < self.first_stage:
-            raise SchemaError("stage below base", stage=n)
-        return self.height(n + 1) // 2
+        self._built(n, n + 1)
+        return self._heights[n + 1] // 2
 
     def descriptor(self) -> dict:
         return self.spec.to_json()

@@ -216,6 +216,17 @@ def test_synthesize_and_classify(tmp_path, capsys):
     assert "RESULT=ergodic" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_build_refuses_a_vl_horizon_below_the_first_stage(tmp_path, capsys, horizon):
+    """Such a family used to load, and its readers disagreed: the height of
+    stage 1 refused the horizon while its level width and a build report
+    answered."""
+    doc = {"format_version": 1, "kind": "vl", "L": 1, "r": {"kind": "const", "value": 2},
+           "horizon": horizon}
+    assert main(["build", _write(tmp_path, "vl.json", doc), "--stage", "1"]) == 2
+    assert capsys.readouterr().err == f"error: horizon {horizon} is below the first stage 1\n"
+
+
 def test_synthesize_rejects_bad_fraction(tmp_path, capsys):
     assert main(["synthesize", "--R", "2/2", "--stages", "4",
                  "--out", str(tmp_path / "x.json")]) == 2
@@ -231,6 +242,10 @@ def test_synthesize_insufficient_complement(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--stages", "-3"], "--stages -3 is below 0"),
     (["--stages", "4", "--R1", "1/2"], "--R1 applies only with --mode three-way"),
+    # refused before a stage is built: the second one used to build until killed
+    (["--stages", "5001"], "stage 5001: more than LIFT_STAGE_CAP=5000 stages above the first "
+                           "stage 0"),
+    (["--stages", "99999999999999999999"], "more than LIFT_STAGE_CAP=5000 stages"),
 ])
 def test_synthesize_refuses_a_request_that_does_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "x.json"
@@ -412,6 +427,19 @@ def test_correlate_rows_match_product_correlation(example_file, capsys, sets, ta
         assert rows[i] == product_correlation(As, Bs, ps, i)
     assert main(argv + ["--positive-only"]) == 0
     assert _csv(capsys) == {i: v for i, v in rows.items() if v}
+
+
+@pytest.mark.parametrize("powers, lags, grid", [
+    ("1", "0..99999999999999999999999", "0..99999999999999999999999 with step 1"),
+    ("2", "-99999999999999999999999..0", "-199999999999999999999998..0 with step 2"),
+])
+def test_correlate_refuses_a_lag_grid_too_long_to_list(example_file, capsys, powers, lags,
+                                                      grid):
+    """Such a grid ended in an OverflowError traceback from len()."""
+    assert main(["correlate", example_file, "--set", "1:0", "--powers", powers,
+                 f"--range={lags}", "--max-rows", "99999999999999999999999999"]) == 2
+    assert capsys.readouterr().err == (f"error: lag grid {grid} holds more than "
+                                       f"sys.maxsize={sys.maxsize} lags\n")
 
 
 def test_correlate_zero_power_exits_2(example_file, capsys):

@@ -15,7 +15,7 @@ from cutstack import cli, engine
 from cutstack.afs4 import AfsParams, ConstRule
 from cutstack.errors import CutstackError
 from cutstack.familyfile import family_from_json
-from cutstack.tower import Family, heights
+from cutstack.tower import Family
 from cutstack.vl import ConstR, GeometricR, VlFamily, VlSpec
 
 FUZZ = settings(max_examples=200, deadline=None,
@@ -145,7 +145,7 @@ def test_family_documents_load_or_fail_cleanly(doc, deadline):
         try:
             family = family_from_json(doc)
             assert isinstance(family, Family)
-            heights(family, family.first_stage + 2)
+            family.height_profile(family.first_stage + 2)
         except (CutstackError, ValueError):
             pass
 

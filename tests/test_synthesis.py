@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutstack.afs4 import preset_infinite_ergodic_index, validate_V
-from cutstack.errors import PrefixExhausted, SchemaError
-from cutstack.synthesis import (SECOND_ROUND_COVER, DirectionSpec,
+from cutstack.errors import CutstackError, PrefixExhausted, SchemaError
+from cutstack.synthesis import (SECOND_ROUND_COVER, DirectionSpec, TraceRow,
                                 block_partition, block_position, pair_schedule,
                                 schedule_round, separation, synthesize_R,
                                 synthesize_three_way)
@@ -179,6 +180,17 @@ def test_growth_ratio_floor_on_synthesized():
     ratios = [Fraction(fam.params(n).p, fam.marker(n)) for n in range(1, 11)]
     assert all(r >= n for n, r in enumerate(ratios, start=1))
     assert not all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_trace_row_names_an_integer_too_long_to_print():
+    """The family file prints trace integers in decimal; one past the
+    interpreter's digit limit used to fail with a message naming neither
+    the stage nor the field."""
+    row = TraceRow(n=805, mode="preset", p_n=3, q_n=10 ** 5000)
+    digits = sys.get_int_max_str_digits()
+    with pytest.raises(CutstackError, match=f"^trace stage 805: q_n holds an integer of more "
+                                            f"than {digits} digits, too long to print$"):
+        row.to_json()
 
 
 def test_descriptor_rebuild_is_deterministic():

@@ -11,7 +11,7 @@ from cutstack import engine
 from cutstack.errors import LiftError, SchemaError
 from cutstack.naive import SPACER, NaiveTower
 from cutstack.tower import (Family, LevelSet, apply_power, build_column, correlation,
-                            correlation_profile, decompose, heights,
+                            correlation_profile, decompose,
                             intersection_measure, joint_return_set,
                             product_correlation, return_support, triple_correlation)
 from cutstack.vl import ConstR, PowerR, VlFamily, VlSpec, r_value
@@ -110,8 +110,8 @@ def test_tiling_rejects_overlapping_copies_and_copies_past_the_top():
 
 
 def test_heights_example(example_family, vl_small):
-    assert heights(example_family, 2) == [(1, 1), (41, 21), (201, 181)]
-    assert heights(vl_small, 4) == [1, 8, 52, 314]
+    assert example_family.height_profile(2) == [(1, 1), (41, 21), (201, 181)]
+    assert vl_small.height_profile(4) == [1, 8, 52, 314]
     assert vl_small.stack_height(1) == 4
 
 
@@ -120,18 +120,37 @@ def test_level_width(example_family, vl_small):
     assert vl_small.level_width(3) == Fraction(1, 4)
 
 
+def _table_readers(fam):
+    readers = [fam.height, fam.offsets_between, fam.cuts_between, fam.level_width,
+               fam._top_sums_to]
+    return readers + ([fam.stack_height] if isinstance(fam, VlFamily)
+                      else [fam.marker, fam.params])
+
+
 @pytest.mark.parametrize("name", ["preset_family", "vl_small"])
 def test_table_readers_refuse_stages_below_the_base(request, name):
     """A stage below the base indexes the stage table from its end, so each
     reader refuses it rather than answer for the highest built stage."""
     fam = request.getfixturevalue(name)
-    readers = [fam.height, fam.offsets_between, fam.cuts_between, fam.level_width,
-               fam._top_sums_to]
-    readers += [fam.marker, fam.params] if name == "preset_family" else [fam.stack_height]
     below = fam.first_stage - 1
-    for read in readers:
+    for read in _table_readers(fam):
         with pytest.raises(SchemaError, match=f"^stage {below}: stage below base$"):
             read(below)
+
+
+@pytest.mark.parametrize("name", ["preset_family", "vl_small"])
+def test_held_stages_are_read_without_building(request, name, monkeypatch):
+    """Every reader answers a stage the table holds from the table; only a
+    stage it lacks goes to ``ensure``."""
+    fam = request.getfixturevalue(name)
+    fam.ensure(6)
+
+    def refuse(n):
+        raise AssertionError(f"ensure({n}) called for a held stage")
+    monkeypatch.setattr(fam, "ensure", refuse)
+    for read in _table_readers(fam):
+        for n in range(fam.first_stage, 6):
+            read(n)
 
 
 def test_decompose_examples(example_family, vl_small):
@@ -196,7 +215,7 @@ def test_level_set_stage_cap_precedes_materialization(vl_small):
     fam = AfsParams(ConstRule(3), ConstRule(10), ConstRule(4), ConstRule(20))
     with pytest.raises(SchemaError, match=f"stage {cap + 1}: more than LIFT_STAGE_CAP={cap}"):
         LevelSet.level(fam, cap + 1, 0)
-    assert not fam._stages  # nothing was materialized
+    assert not fam._offsets  # nothing was materialized
     # the cap counts from the first stage, which is 1 for vector families
     with pytest.raises(SchemaError, match=f"stage {cap + 2}: .* first stage 1"):
         LevelSet.level(vl_small, cap + 2, 0)
@@ -211,7 +230,7 @@ def test_constraint_stage_cap_precedes_materialization():
     assert A.constrain(cap - 1, (0,)).measure() == A.measure() / 4
     with pytest.raises(SchemaError, match=f"stage {cap + 1}: more than LIFT_STAGE_CAP={cap}"):
         A.constrain(cap, (0,))
-    assert len(fam._stages) == cap  # stage cap + 1 was never built
+    assert len(fam._offsets) == cap  # stage cap + 1 was never built
 
 
 def test_correlation_frozen_values(example_family):

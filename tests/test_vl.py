@@ -124,6 +124,9 @@ def test_horizon_cap():
     fam.ensure(3)
     with pytest.raises(SchemaError):
         fam.ensure(4)
+    for horizon in (0, -3):
+        with pytest.raises(SchemaError, match=f"^horizon {horizon} is below the first stage 1$"):
+            VlFamily(VlSpec(1, ConstR(2), horizon=horizon))
 
 
 def test_vector_order_override():
