@@ -10,9 +10,14 @@ prescribed position difference.
 Those counts are computed by a top-down walk over the stages. Offsets grow so
 fast that once the partial difference leaves the window reachable by the
 remaining lower stages the branch is dead, which is what makes shifts of
-size 10^30 and more exact and cheap. Per-stage "allowed position" maps
-restrict a side to chosen subcolumn copies (used for intersections with
-whole subcolumn unions).
+size 10^30 and more exact and cheap.
+
+Every walk takes one request after the family, (n0, M, boxes,
+constraints), as :func:`cutstack.tower._walk` builds it: the base stage
+n0, the lift stage M, one box [lo, hi] of differences pos(w_t) - pos(w_0)
+per operand t >= 1, and one map per operand from a transition to the
+copy positions it keeps (intersections with whole subcolumn unions). A
+pair walk is the request with one box and two maps.
 
 Correlations and intersections need the counts, so :func:`pair_diff_counts`
 and :func:`multi_diff_counts` carry a count per state. Return supports and
@@ -218,10 +223,11 @@ def _support_step(family, i: int, cur: list[int], r: int, lo: int, hi: int,
     return list(compress(nxt, map(ne, nxt, islice(nxt, 1, None)))) + nxt[-1:]
 
 
-def _seed(family, n0: int, M: int, lo: int, hi: int,
-          ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
+def _seed(family, n0: int, M: int, boxes: list[tuple[int, int]],
+          constraints: list[dict[int, tuple[int, ...]]],
           ) -> tuple[int, dict[int, int]]:
-    """(S, the states of a pair walk after stages M-1..S), in closed form.
+    """(S, the states of a pair walk after stages M-1..S), in closed form,
+    for the pair request (n0, M, [(lo, hi)], [ca, cb]).
 
     S is the first stage >= n0, and above every constrained transition,
     whose height exceeds ``hi``. Above S each letter pair is either equal
@@ -244,9 +250,10 @@ def _seed(family, n0: int, M: int, lo: int, hi: int,
     below M or when ``lo`` reaches -height(n0). The first test is one
     height comparison, so walks whose top stage is needed cost nothing.
     """
+    [(lo, hi)] = boxes
     if M <= n0 or family.height(M - 1) <= hi or lo <= -family.height(n0):
         return M, {0: 1}
-    S = max([n0] + [t + 1 for t in ca] + [t + 1 for t in cb])
+    S = max([n0] + [t + 1 for c in constraints for t in c])
     if S >= M:
         return M, {0: 1}
     # heights never decrease and height(M - 1) > hi: bisect for the first
@@ -273,12 +280,12 @@ def _seed(family, n0: int, M: int, lo: int, hi: int,
     return S, cur
 
 
-def _pair_states(family, n0: int, M: int, lo: int, hi: int,
-                 ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-                 start, step):
-    """The pair walk from ``start(seed states)`` through the stages below
-    the :func:`_seed` stage, one ``step`` a stage: (the final states, the
-    factor the counts of a counting walk still owe).
+def _pair_states(family, n0: int, M: int, boxes: list[tuple[int, int]],
+                 constraints: list[dict[int, tuple[int, ...]]], start, step):
+    """The walk of the pair request (n0, M, [(lo, hi)], [ca, cb]) from
+    ``start(seed states)`` through the stages below the :func:`_seed`
+    stage, one ``step`` a stage: (the final states, the factor the counts
+    of a counting walk still owe). An empty window walks nothing.
 
     While the walk holds one state x, a stage costs one :func:`_diagonal`
     call on the step window (t_lo - x, t_hi - x) and no step, where [t_lo,
@@ -293,7 +300,10 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
     alone, so multiplying the final counts by the product of these factors
     gives what stepping every stage gives; a support walk drops the factor.
     """
-    S, seed = _seed(family, n0, M, lo, hi, ca, cb)
+    [(lo, hi)], (ca, cb) = boxes, constraints
+    if lo > hi:
+        return start({}), 1
+    S, seed = _seed(family, n0, M, boxes, constraints)
     cur = start(seed)
     top = family._top_sums_to(M)
     base = top[n0]
@@ -317,29 +327,24 @@ def _pair_states(family, n0: int, M: int, lo: int, hi: int,
     return cur, factor
 
 
-def pair_diff_counts(family, n0: int, M: int, lo: int, hi: int,
-                     constraints_a: dict[int, tuple[int, ...]] | None = None,
-                     constraints_b: dict[int, tuple[int, ...]] | None = None,
+def pair_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
+                     constraints: list[dict[int, tuple[int, ...]]],
                      ) -> dict[int, int]:
     """Counts of word pairs (w_a, w_b) over stages n0..M-1 with
-    pos(w_b) - pos(w_a) = delta, for every delta in [lo, hi]. The walk
-    starts below the stages :func:`_seed` answers in closed form."""
-    if lo > hi:
-        return {}
-    cur, factor = _pair_states(family, n0, M, lo, hi, constraints_a or {},
-                               constraints_b or {}, dict, _step)
+    pos(w_b) - pos(w_a) = delta, for every delta in the one box
+    [lo, hi], where w_a and w_b keep the copies their constraint maps
+    allow. The request is :func:`multi_diff_counts`'s with two operands,
+    and the walk starts below the stages :func:`_seed` answers in closed
+    form."""
+    cur, factor = _pair_states(family, n0, M, boxes, constraints, dict, _step)
     return {d: ways * factor for d, ways in cur.items()} if factor > 1 else cur
 
 
-def pair_diff_support(family, n0: int, M: int, lo: int, hi: int,
-                      constraints_a: dict[int, tuple[int, ...]] | None = None,
-                      constraints_b: dict[int, tuple[int, ...]] | None = None,
+def pair_diff_support(family, n0: int, M: int, boxes: list[tuple[int, int]],
+                      constraints: list[dict[int, tuple[int, ...]]],
                       ) -> list[int]:
     """The deltas of :func:`pair_diff_counts`, sorted, without their counts."""
-    if lo > hi:
-        return []
-    return _pair_states(family, n0, M, lo, hi, constraints_a or {},
-                        constraints_b or {}, sorted, _support_step)[0]
+    return _pair_states(family, n0, M, boxes, constraints, sorted, _support_step)[0]
 
 
 def _partnered(cur: list[int], others: list[int], a: int, b: int,
@@ -372,28 +377,26 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     """Two :func:`pair_diff_support` walks in lockstep, pruned by
     proportionality.
 
-    ``walk_p`` and ``walk_q`` are each the arguments of
-    :func:`pair_diff_support` after the family, (n0, M, lo, hi,
-    constraints_a, constraints_b), and the result holds their final
-    states, as sorted delta lists. Each walk keeps its own state list,
-    never pairs; stage i is walked by both at once, and a walk sits at its
-    :func:`_seed` states above the stage it starts below and keeps its
-    states below its n0. After each stage a state delta_p survives only if
-    some state delta_q of the other walk has q*delta_p - p*delta_q within
-    q*r_p + p*r_q of ``gap``, and the reverse, where r_p and r_q are what
-    the unwalked stages can still add to each delta: a pair outside that
-    slack can never meet the gap. Every pair of final deltas with
-    q*delta_p - p*delta_q in ``gap`` survives, but a survivor need not
-    have such a partner.
+    ``walk_p`` and ``walk_q`` are each a pair request of
+    :func:`pair_diff_support`, (n0, M, [(lo, hi)], [ca, cb]), and the
+    result holds their final states, as sorted delta lists. Each walk
+    keeps its own state list, never pairs; stage i is walked by both at
+    once, and a walk sits at its :func:`_seed` states above the stage it
+    starts below and keeps its states below its n0. After each stage a
+    state delta_p survives only if some state delta_q of the other walk
+    has q*delta_p - p*delta_q within q*r_p + p*r_q of ``gap``, and the
+    reverse, where r_p and r_q are what the unwalked stages can still add
+    to each delta: a pair outside that slack can never meet the gap. Every
+    pair of final deltas with q*delta_p - p*delta_q in ``gap`` survives,
+    but a survivor need not have such a partner.
     """
-    n_p, M_p, lo_p, hi_p, ca_p, cb_p = walk_p
-    n_q, M_q, lo_q, hi_q, ca_q, cb_q = walk_q
+    n_p, M_p, [(lo_p, hi_p)], (ca_p, cb_p) = walk_p
+    n_q, M_q, [(lo_q, hi_q)], (ca_q, cb_q) = walk_q
     g_lo, g_hi = gap
     if lo_p > hi_p or lo_q > hi_q or g_lo > g_hi:
         return [], []
-    ca_p, cb_p, ca_q, cb_q = ca_p or {}, cb_p or {}, ca_q or {}, cb_q or {}
-    S_p, seed_p = _seed(family, n_p, M_p, lo_p, hi_p, ca_p, cb_p)
-    S_q, seed_q = _seed(family, n_q, M_q, lo_q, hi_q, ca_q, cb_q)
+    S_p, seed_p = _seed(family, *walk_p)
+    S_q, seed_q = _seed(family, *walk_q)
     if not seed_p or not seed_q:
         return [], []
     cur_p, cur_q = sorted(seed_p), sorted(seed_q)
@@ -461,7 +464,7 @@ def _multi_step(family, i: int, cur: dict[tuple[int, ...], int], r: int,
 
 
 def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
-                      constraints: list[dict[int, tuple[int, ...]] | None],
+                      constraints: list[dict[int, tuple[int, ...]]],
                       ) -> dict[tuple[int, ...], int]:
     """k-operand generalization: counts of word tuples (w_0..w_{k-1}) with
     pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1, one
@@ -484,14 +487,13 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
         raise ValueError("need k >= 2 operands and k-1 boxes")
     if any(lo > hi for lo, hi in boxes):
         return {}
-    cons = [c or {} for c in constraints]
     top = family._top_sums_to(M)
     base = top[n0]
     cur: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
     factor = 1
     for i in range(M - 1, n0 - 1, -1):
         r = top[i] - base
-        picks = [c.get(i) for c in cons]
+        picks = [c.get(i) for c in constraints]
         # per-dimension viable step windows given the surviving states
         if len(cur) == 1:
             (x,) = cur

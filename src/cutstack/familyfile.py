@@ -123,7 +123,7 @@ def load_family(path: str | Path) -> Family:
         raise SchemaError(f"{path}: empty family file")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     return family_from_json(doc)
 

@@ -333,7 +333,13 @@ def _synthesize(spec: DirectionSpec, mode: str,
     if up_to - fam.first_stage > engine.LIFT_STAGE_CAP:
         raise SchemaError(f"more than LIFT_STAGE_CAP={engine.LIFT_STAGE_CAP} "
                           f"stages above the first stage {fam.first_stage}", stage=up_to)
-    fam.ensure(up_to + 1)
+    # the family file prints every trace row: refuse one it cannot before building on
+    too_long = 10 ** sys.get_int_max_str_digits()  # str() refuses integers this large
+    for n in range(fam.first_stage, up_to + 1):
+        fam.ensure(n + 1)
+        row = fam.trace.row_for(n)
+        if max(row.t, row.p_n, row.q_n) >= too_long:
+            row.to_json()  # raises, naming the stage and the field
     fam.trace.recheck(fam)
     return fam, fam.trace
 

@@ -341,12 +341,13 @@ def _walk(sets: list[LevelSet], lag_ranges: list[tuple[int, int]]):
     the inclusive range ``lag_ranges[t]`` (all j_t >= 0).
 
     Returns the sets at their common stage n0 (lower-stage sets lifted
-    explicitly), n0, the lift stage M valid for the largest shifted index
-    and above every constrained transition, one box per operand t >= 1, and
-    each lifted set's constraint map. Box t holds every word-position
-    difference pos(w_t) - pos(w_0) = j_0 - j_t + a_0 - a_t at which a level
-    a_0 of the first set, shifted by j_0, meets a level a_t of set t,
-    shifted by j_t.
+    explicitly) and the request every :mod:`cutstack.engine` walk takes:
+    (n0, the lift stage M valid for the largest shifted index and above
+    every constrained transition, one box per operand t >= 1, each lifted
+    set's constraint map). Box t holds every word-position difference
+    pos(w_t) - pos(w_0) = j_0 - j_t + a_0 - a_t at which a level a_0 of
+    the first set, shifted by j_0, meets a level a_t of set t, shifted by
+    j_t.
     """
     fam = sets[0].family
     if any(s.family is not fam for s in sets):
@@ -360,16 +361,7 @@ def _walk(sets: list[LevelSet], lag_ranges: list[tuple[int, int]]):
     (lo0, hi0), (a_lo, a_hi) = lag_ranges[0], spans[0]
     boxes = [(lo0 - hi + a_lo - b_hi, hi0 - lo + a_hi - b_lo)
              for (b_lo, b_hi), (lo, hi) in zip(spans[1:], lag_ranges[1:])]
-    return lifted, n0, M, boxes, [dict(s.letter_constraints) for s in lifted]
-
-
-def _pair_walk(A: LevelSet, B: LevelSet, lo: int, hi: int):
-    """A and B at their common stage, and the engine walk that covers the
-    lags j in [lo, hi] (0 <= lo): the arguments of
-    :func:`engine.pair_diff_counts` after the family, with the lift stage
-    valid for ``hi`` and the window of every delta = j + a - b."""
-    (A0, B0), n0, M, [(d_lo, d_hi)], (ca, cb) = _walk([A, B], [(lo, hi), (0, 0)])
-    return A0, B0, (n0, M, d_lo, d_hi, ca, cb)
+    return lifted, (n0, M, boxes, [dict(s.letter_constraints) for s in lifted])
 
 
 def correlation(A: LevelSet, B: LevelSet, j: int) -> Fraction:
@@ -379,14 +371,14 @@ def correlation(A: LevelSet, B: LevelSet, j: int) -> Fraction:
     if j < 0:
         return correlation(B, A, -j)
     fam = A.family
-    A0, B0, walk = _pair_walk(A, B, j, j)
-    dc = engine.pair_diff_counts(fam, *walk)
+    (A0, B0), (n0, M, boxes, cons) = _walk([A, B], [(j, j), (0, 0)])
+    dc = engine.pair_diff_counts(fam, n0, M, boxes, cons)
     hits = 0
     for delta, ways in dc.items():
         cross = rn.cross_difference_count(A0.runs, B0.runs, delta - j)
         if cross:
             hits += ways * cross
-    return hits * fam.level_width(walk[1]) if hits else Fraction(0)
+    return hits * fam.level_width(M) if hits else Fraction(0)
 
 
 _ZERO = Fraction(0)
@@ -423,10 +415,11 @@ def correlation_profile(A: LevelSet, B: LevelSet, lo: int, hi: int,
 def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
     fam = A.family
     first, last, step = lags[0], lags[-1], lags.step
-    A0, B0, walk = _pair_walk(A, B, first, last)
-    dc = engine.pair_diff_counts(fam, *walk)
+    (A0, B0), (n0, M, boxes, cons) = _walk([A, B], [(first, last), (0, 0)])
+    dc = engine.pair_diff_counts(fam, n0, M, boxes, cons)
     # delta - j is a difference a - b of A0 and B0 indices
-    x_lo, x_hi = walk[2] - first, walk[3] - last
+    [(d_lo, d_hi)] = boxes
+    x_lo, x_hi = d_lo - first, d_hi - last
     # counts per difference, memoised sparsely: a dense array over the span of
     # the sets' differences would be huge for wide level sets
     cross: dict[int, int] = {}
@@ -441,7 +434,7 @@ def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
                 c = cross[x] = rn.cross_difference_count(A0.runs, B0.runs, x)
             if c:
                 hits[(j - first) // step] += ways * c
-    width = fam.level_width(walk[1])
+    width = fam.level_width(M)
     return [h * width if h else _ZERO for h in hits]
 
 
@@ -475,7 +468,7 @@ def intersection_measure(sets: list[LevelSet], shifts: list[int]) -> Fraction:
         return Fraction(0)
     base = -min(shifts)
     shifts = [j + base for j in shifts]  # measure preserved under a common shift
-    lifted, n0, M, boxes, cons = _walk(sets, [(j, j) for j in shifts])
+    lifted, (n0, M, boxes, cons) = _walk(sets, [(j, j) for j in shifts])
     fam = lifted[0].family
     j0, a0 = shifts[0], lifted[0]
     dc = engine.multi_diff_counts(fam, n0, M, boxes, cons)
@@ -555,8 +548,9 @@ def return_support(A: LevelSet, B: LevelSet, lo: int, hi: int) -> RunSet:
     lo_nn = max(lo, 0)
     out: tuple[Run, ...] = ()
     if hi >= lo_nn:
-        A0, B0, walk = _pair_walk(A, B, lo_nn, hi)
-        out = _lag_runs(A0, B0, engine.pair_diff_support(A.family, *walk), lo_nn, hi)
+        (A0, B0), (n0, M, boxes, cons) = _walk([A, B], [(lo_nn, hi), (0, 0)])
+        ds = engine.pair_diff_support(A.family, n0, M, boxes, cons)
+        out = _lag_runs(A0, B0, ds, lo_nn, hi)
     if lo < 0:
         neg = [(1 - t, 1 - s) for s, t in
                reversed(return_support(B, A, max(1, -hi), -lo).runs)]
@@ -600,11 +594,12 @@ def joint_return_set(A: LevelSet, B1: LevelSet, B2: LevelSet, p: int, q: int,
         raise ValueError(f"powers p={p}, q={q} must be at least 1")
     if horizon <= 0 or A.is_empty() or B1.is_empty() or B2.is_empty():
         return RunSet(())
-    A1, C1, walk_p = _pair_walk(A, B1, p, p * horizon)
-    A2, C2, walk_q = _pair_walk(A, B2, q, q * horizon)
+    (A1, C1), walk_p = _walk([A, B1], [(p, p * horizon), (0, 0)])
+    (A2, C2), walk_q = _walk([A, B2], [(q, q * horizon), (0, 0)])
+    (_, _, [(dp_lo, dp_hi)], _), (_, _, [(dq_lo, dq_hi)], _) = walk_p, walk_q
     # hull of q x_p - p x_q, where x = a - b = delta - j
-    xp_lo, xp_hi = walk_p[2] - p, walk_p[3] - p * horizon
-    xq_lo, xq_hi = walk_q[2] - q, walk_q[3] - q * horizon
+    xp_lo, xp_hi = dp_lo - p, dp_hi - p * horizon
+    xq_lo, xq_hi = dq_lo - q, dq_hi - q * horizon
     dp, dq = engine.lockstep_diff_states(
         A.family, p, q, walk_p, walk_q,
         (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo))

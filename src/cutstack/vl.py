@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import engine
 from .errors import SchemaError, UnsupportedRule
@@ -31,17 +31,24 @@ from .tower import (Family, LevelSet, correlation, intersection_measure,
 # Vector enumeration (sum first, then lexicographic)
 
 
-def _tuples_with_sum(L: int, total: int, lo: int):
-    """Strictly increasing L-tuples with entries >= lo summing to total, lex order."""
-    if L == 1:
-        if total >= lo:
-            yield (total,)
-        return
-    v = lo
-    while v * L + L * (L - 1) // 2 <= total:
-        for tail in _tuples_with_sum(L - 1, total - v, v + 1):
-            yield (v,) + tail
-        v += 1
+def _vectors(L: int):
+    """Every strictly increasing L-tuple of positive integers, ordered by
+    coordinate sum and lexicographically within a sum. Each successor
+    raises by one the rightmost entry but the last that can rise, and
+    refills the entries after it with the least run that keeps the sum;
+    when none can rise, the sum grows by one. One list is updated in a
+    loop, so any L enumerates."""
+    v = list(range(1, L + 1))
+    while True:
+        yield tuple(v)
+        for i in range(L - 2, -1, -1):
+            tail = list(range(v[i] + 1, v[i] + L - i))
+            tail.append(sum(v[i:]) - sum(tail))
+            if tail[-1] > tail[-2]:
+                v[i:] = tail
+                break
+        else:
+            v = list(range(1, L)) + [sum(v) + 1 - L * (L - 1) // 2]
 
 
 def enumerate_vectors(L: int, j: int) -> tuple[int, ...]:
@@ -49,30 +56,16 @@ def enumerate_vectors(L: int, j: int) -> tuple[int, ...]:
     ordered by coordinate sum and lexicographically within a sum."""
     if L < 1 or j < 1:
         raise ValueError("L and j start at 1")
-    total = L * (L + 1) // 2
-    seen = 0
-    while True:
-        for tup in _tuples_with_sum(L, total, 1):
-            seen += 1
-            if seen == j:
-                return tup
-        total += 1
+    return next(islice(_vectors(L), j - 1, None))
 
 
 def vector_index(L: int, v: tuple[int, ...]) -> int:
     """Inverse of enumerate_vectors."""
     if len(v) != L or any(a <= 0 for a in v) or list(v) != sorted(set(v)):
         raise ValueError(f"{v} is not a strictly increasing positive {L}-tuple")
-    total = L * (L + 1) // 2
-    idx = 0
-    while total < sum(v):
-        idx += sum(1 for _ in _tuples_with_sum(L, total, 1))
-        total += 1
-    for tup in _tuples_with_sum(L, total, 1):
-        idx += 1
-        if tup == tuple(v):
-            return idx
-    raise AssertionError("enumeration failed to find its own tuple")
+    v = tuple(v)
+    # _vectors lists every such tuple, so the search ends
+    return next(idx for idx, u in enumerate(_vectors(L), 1) if u == v)
 
 
 def s_index(n: int) -> tuple[int, int]:

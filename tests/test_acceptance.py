@@ -42,7 +42,7 @@ def test_criterion_01_quarter_rigidity():
         # position difference p_n), which does not involve the level index:
         # one exact count certifies every level of the stage at once.
         M = engine.minimal_valid_stage(fam, n, fam.height(n) - 1 + p_n)
-        dc = engine.pair_diff_counts(fam, n, M, p_n, p_n)
+        dc = engine.pair_diff_counts(fam, n, M, [(p_n, p_n)], [{}, {}])
         value = dc.get(p_n, 0) * fam.level_width(M)
         assert value == quarter
         # Spot-check the public operation on explicit levels, both signs.

@@ -10,7 +10,7 @@ from cutstack.cli import main
 from cutstack.errors import CutstackError
 from cutstack.familyfile import (Report, family_from_json, family_to_json, load_family,
                                  save_family)
-from cutstack.synthesis import DirectionSpec, synthesize_R
+from cutstack.synthesis import DirectionSpec, SynthesizedParams, synthesize_R
 from cutstack.tower import LevelSet, product_correlation
 
 EXAMPLE = {
@@ -76,6 +76,26 @@ def test_build_parse_error(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("")
     assert main(["build", str(empty), "--stage", "1"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    json.dumps(dict(EXAMPLE, rules=None)).replace("null", "[" * 50_000 + "]" * 50_000),
+], ids=["bare", "afs4-rules"])
+def test_build_refuses_json_nested_too_deep(tmp_path, capsys, text):
+    """The JSON decoder recurses once per nesting level; past the limit it
+    raised RecursionError, a traceback with exit 1."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert main(["build", str(deep), "--stage", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: not valid JSON (") and err.endswith(")\n")
+
+
+def test_build_vl_with_more_coordinates_than_the_recursion_limit(tmp_path, capsys):
+    doc = {"format_version": 1, "kind": "vl", "L": 3000, "r": {"kind": "const", "value": 3001}}
+    assert main(["build", _write(tmp_path, "wide.json", doc), "--stage", "2"]) == 0
+    assert "stage.2.height=" in capsys.readouterr().out
 
 
 def test_build_vl_schema_error(tmp_path, capsys):
@@ -246,12 +266,25 @@ def test_synthesize_insufficient_complement(tmp_path, capsys):
     (["--stages", "5001"], "stage 5001: more than LIFT_STAGE_CAP=5000 stages above the first "
                            "stage 0"),
     (["--stages", "99999999999999999999"], "more than LIFT_STAGE_CAP=5000 stages"),
+    # refused as the trace row is built: this one used to build all 5000 stages
+    (["--stages", "5000"], "trace stage 805: t holds an integer of more than 4300 digits, "
+                           "too long to print"),
 ])
-def test_synthesize_refuses_a_request_that_does_nothing(tmp_path, capsys, argv, message):
+def test_synthesize_refuses_a_request_that_does_nothing(tmp_path, capsys, monkeypatch,
+                                                        argv, message):
+    built = []
+    next_stage = SynthesizedParams._next_stage
+
+    def counted(self, n):
+        built.append(n + 1)
+        return next_stage(self, n)
+
+    monkeypatch.setattr(SynthesizedParams, "_next_stage", counted)
     out = tmp_path / "x.json"
     assert main(["synthesize", "--R", "1/2", "--out", str(out)] + argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+    assert max(built, default=0) <= 806
 
 
 def test_classify_exit_codes(tmp_path, capsys):

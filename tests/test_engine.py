@@ -131,15 +131,15 @@ def _walks(fam, n0):
     top = fam.cuts_between(n0) - 1
     deep = _fit(fam, n0, n0 + 12)
     return [
-        ("pair", n0, M, lo, hi, None, None),
-        ("multi", n0, M, [(lo, hi), (-h, h)], [None, {n0 + 1: (0, 1)}, None]),
+        ("pair", n0, M, [(lo, hi)], [{}, {}]),
+        ("multi", n0, M, [(lo, hi), (-h, h)], [{}, {n0 + 1: (0, 1)}, {}]),
         ("lift", n0, deep + 1),
-        ("lockstep", 1, 2, (n0, M, lo, hi, None, None),
-         (n0, M + 1, lo, hi, None, {n0: (top,)}), (j - 3 * h, j + 3 * h)),
-        ("multi", n0, M, [(lo, hi), (lo, hi)], [{M - 1: (0,)}, None, {n0: (top,)}]),
-        ("pair", n0, M, -h, h, {n0 + 1: (0, 1)}, {M - 1: (1,)}),
+        ("lockstep", 1, 2, (n0, M, [(lo, hi)], [{}, {}]),
+         (n0, M + 1, [(lo, hi)], [{}, {n0: (top,)}]), (j - 3 * h, j + 3 * h)),
+        ("multi", n0, M, [(lo, hi), (lo, hi)], [{M - 1: (0,)}, {}, {n0: (top,)}]),
+        ("pair", n0, M, [(-h, h)], [{n0 + 1: (0, 1)}, {M - 1: (1,)}]),
         ("lift", n0, deep),
-        ("pair", n0, M, lo, hi, {n0: (0,)}, {n0: (top,)}),
+        ("pair", n0, M, [(lo, hi)], [{n0: (0,)}, {n0: (top,)}]),
     ]
 
 
@@ -238,7 +238,6 @@ def reference_stage_diffs(fam, i, d_lo, d_hi, ca, cb):
 def reference_multi_diff_counts(fam, n0, M, boxes, constraints):
     """The multi walk with no diagonal shortcut: at every stage each base
     offset bisects for the partners of every other operand."""
-    cons = [c or {} for c in constraints]
     top = fam._top_sums_to(M)
     cur = {(0,) * len(boxes): 1}
     for i in range(M - 1, n0 - 1, -1):
@@ -246,7 +245,7 @@ def reference_multi_diff_counts(fam, n0, M, boxes, constraints):
         bounds = [(lo - r, hi + r) for lo, hi in boxes]
         windows = [(t_lo - max(col), t_hi - min(col))
                    for (t_lo, t_hi), col in zip(bounds, zip(*cur))]
-        sides = [fam._stage_offsets(i, c.get(i)) for c in cons]
+        sides = [fam._stage_offsets(i, c.get(i)) for c in constraints]
         diffs = {}
         for a in sides[0]:
             blocks = [[o - a for o in offs[bisect_left(offs, a + w_lo):
@@ -337,7 +336,7 @@ def test_multi_walk_matches_reference(data):
             cuts = fam.cuts_between(t)
             c[t] = tuple(sorted(data.draw(st.sets(st.integers(0, cuts - 1), min_size=1,
                                                   max_size=cuts))))
-        constraints.append(c or None)
+        constraints.append(c)
     assert (engine.multi_diff_counts(fam, n0, M, boxes, constraints)
             == reference_multi_diff_counts(fam, n0, M, boxes, constraints))
 

@@ -44,11 +44,12 @@ REACH = {"example_family": 3000, "roomy_family": 3000, "zero_family": 300,
          "wmin_family": 3000, "vl_small": 3000, "vl_four": 3000}
 
 
-def _full_walk(fam, n0, M, lo, hi, ca=None, cb=None):
-    """Every stage from M - 1 down to n0, from the zero state."""
+def _full_walk(fam, n0, M, boxes, constraints):
+    """Every stage from M - 1 down to n0, from the zero state, for a pair
+    request."""
+    [(lo, hi)], (ca, cb) = boxes, constraints
     if lo > hi:
         return {}
-    ca, cb = ca or {}, cb or {}
     top = fam._top_sums_to(M)
     cur = {0: 1}
     for i in range(M - 1, n0 - 1, -1):
@@ -93,14 +94,34 @@ def test_pair_walk_matches_full_walk(request, data):
     A, B = data.draw(level_sets(fam)), data.draw(level_sets(fam))
     lo = data.draw(st.integers(0, REACH[name]))
     hi = lo + data.draw(st.integers(0, 40))
-    _, _, (n0, M, d_lo, d_hi, ca, cb) = tower._pair_walk(A, B, lo, hi)
+    _, (n0, M, [(d_lo, d_hi)], cons) = tower._walk([A, B], [(lo, hi), (0, 0)])
     # a taller walk than the lift needs, and windows reaching below -height(n0)
     M += data.draw(st.integers(0, 2))
     d_lo -= data.draw(st.sampled_from([0, 0, 1, fam.height(n0), 2 * fam.height(n0)]))
-    walk = (n0, M, d_lo, d_hi, ca, cb)
+    walk = (n0, M, [(d_lo, d_hi)], cons)
     full = _full_walk(fam, *walk)
     assert engine.pair_diff_counts(fam, *walk) == full
     assert engine.pair_diff_support(fam, *walk) == sorted(full)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_request_drives_the_pair_and_multi_walks(request, data):
+    """A pair request is a multi request with one box and two constraint
+    maps: the seeded pair walk and the unseeded multi walk count alike."""
+    name = data.draw(st.sampled_from(sorted(REACH)))
+    fam = request.getfixturevalue(name)
+    A, B = data.draw(level_sets(fam)), data.draw(level_sets(fam))
+    if data.draw(st.booleans()):
+        # above the stages level_sets constrains, so no intersection is empty
+        t = fam.first_stage + data.draw(st.integers(4, 5))
+        every = range(fam.cuts_between(t))
+        A = A.constrain(t, tuple(data.draw(st.sets(st.sampled_from(every), min_size=1))))
+        B = B.constrain(t, tuple(data.draw(st.sets(st.sampled_from(every), min_size=1))))
+    j = data.draw(st.integers(0, REACH[name]))
+    _, walk = tower._walk([A, B], [(j, j), (0, 0)])
+    multi = engine.multi_diff_counts(fam, *walk)
+    assert engine.pair_diff_counts(fam, *walk) == {d: ways for (d,), ways in multi.items()}
 
 
 def _partnered(dp, dq, p, q, gap):
@@ -117,10 +138,11 @@ def test_lockstep_walk_matches_full_walks(request, data):
     A, B1, B2 = (data.draw(level_sets(fam)) for _ in range(3))
     p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     horizon = data.draw(st.integers(1, REACH[name] // max(p, q)))
-    _, _, walk_p = tower._pair_walk(A, B1, p, p * horizon)
-    _, _, walk_q = tower._pair_walk(A, B2, q, q * horizon)
-    xp_lo, xp_hi = walk_p[2] - p, walk_p[3] - p * horizon
-    xq_lo, xq_hi = walk_q[2] - q, walk_q[3] - q * horizon
+    _, walk_p = tower._walk([A, B1], [(p, p * horizon), (0, 0)])
+    _, walk_q = tower._walk([A, B2], [(q, q * horizon), (0, 0)])
+    (_, _, [(dp_lo, dp_hi)], _), (_, _, [(dq_lo, dq_hi)], _) = walk_p, walk_q
+    xp_lo, xp_hi = dp_lo - p, dp_hi - p * horizon
+    xq_lo, xq_hi = dq_lo - q, dq_hi - q * horizon
     gap = (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo)
     dp, dq = engine.lockstep_diff_states(fam, p, q, walk_p, walk_q, gap)
     full_p, full_q = _full_walk(fam, *walk_p), _full_walk(fam, *walk_q)
@@ -139,8 +161,8 @@ def test_correlation_matches_multi_walk_after_long_climbs(example_family, zero_f
     for fam, sa, ra, sb, rb, lags in cases:
         A, B = LevelSet.from_ranges(fam, sa, ra), LevelSet.from_ranges(fam, sb, rb)
         for j in lags:
-            _, _, (n0, M, lo, hi, _, _) = tower._pair_walk(A, B, j, j)
-            S, _ = engine._seed(fam, n0, M, lo, hi, {}, {})
+            _, (n0, M, boxes, cons) = tower._walk([A, B], [(j, j), (0, 0)])
+            S, _ = engine._seed(fam, n0, M, boxes, cons)
             assert M - S >= 50, (fam.label, j, M, S)
             want = intersection_measure([A, B], [j, 0])
             assert correlation(A, B, j) == want and want > 0
@@ -158,8 +180,8 @@ def test_seeded_correlation_matches_naive(request, name, stage, lags):
     A, B = LevelSet.from_indices(fam, stage, a_idx), LevelSet.from_indices(fam, stage, b_idx)
     seeded = 0
     for j in lags:
-        _, _, (n0, M, lo, hi, _, _) = tower._pair_walk(A, B, j, j)
-        seeded += engine._seed(fam, n0, M, lo, hi, {}, {})[0] < M
+        _, (n0, M, boxes, cons) = tower._walk([A, B], [(j, j), (0, 0)])
+        seeded += engine._seed(fam, n0, M, boxes, cons)[0] < M
         assert correlation(A, B, j) == naive.correlation(stage, a_idx, stage, b_idx, j)
         assert correlation(B, A, -j) == naive.correlation(stage, b_idx, stage, a_idx, -j)
     assert seeded >= len(lags) // 2
@@ -170,11 +192,11 @@ def test_lambda_set_steps_only_below_the_seeds(example_family, monkeypatch):
     and 130, and the full walks took 228 steps; the seeds start both below
     stage 4."""
     A = LevelSet.level(example_family, 0, 0)
-    _, _, walk_p = tower._pair_walk(A, A, 3, 3 * 650)
-    _, _, walk_q = tower._pair_walk(A, A, 4, 4 * 650)
-    S_p = engine._seed(example_family, *walk_p)[0]
-    S_q = engine._seed(example_family, *walk_q)[0]
-    assert (walk_p[1], walk_q[1], S_p, S_q) == (98, 130, 4, 4)
+    _, (n_p, M_p, boxes_p, cons_p) = tower._walk([A, A], [(3, 3 * 650), (0, 0)])
+    _, (n_q, M_q, boxes_q, cons_q) = tower._walk([A, A], [(4, 4 * 650), (0, 0)])
+    S_p = engine._seed(example_family, n_p, M_p, boxes_p, cons_p)[0]
+    S_q = engine._seed(example_family, n_q, M_q, boxes_q, cons_q)[0]
+    assert (M_p, M_q, S_p, S_q) == (98, 130, 4, 4)
     steps = []
     step = engine._support_step
 
@@ -190,12 +212,13 @@ def test_lambda_set_steps_only_below_the_seeds(example_family, monkeypatch):
 
 def test_seed_falls_back_to_the_walks_own_start(example_family):
     # the top stage is needed, a window reaching -height(n0), no stage left
-    assert engine._seed(example_family, 1, 4, 0, example_family.height(3), {}, {}) == (4, {0: 1})
-    assert engine._seed(example_family, 1, 9, -41, 10, {}, {}) == (9, {0: 1})
-    assert engine._seed(example_family, 2, 2, 0, 0, {}, {}) == (2, {0: 1})
+    h3 = example_family.height(3)
+    assert engine._seed(example_family, 1, 4, [(0, h3)], [{}, {}]) == (4, {0: 1})
+    assert engine._seed(example_family, 1, 9, [(-41, 10)], [{}, {}]) == (9, {0: 1})
+    assert engine._seed(example_family, 2, 2, [(0, 0)], [{}, {}]) == (2, {0: 1})
     # a constraint at stage 7 keeps the seed above it
-    assert engine._seed(example_family, 1, 9, 0, 10, {7: (0,)}, {})[0] == 8
-    assert engine._seed(example_family, 1, 9, 0, 10, {8: (0,)}, {}) == (9, {0: 1})
+    assert engine._seed(example_family, 1, 9, [(0, 10)], [{7: (0,)}, {}])[0] == 8
+    assert engine._seed(example_family, 1, 9, [(0, 10)], [{8: (0,)}, {}]) == (9, {0: 1})
 
 
 def _full_multi_walk(fam, n0, M, boxes, constraints):
@@ -267,13 +290,13 @@ def test_one_state_skips_match_full_walks(request, name, data):
         j1, j2 = (data.draw(_word_differences(fam, A.stage)) for _ in range(2))
     else:
         j1, j2 = (data.draw(st.integers(0, SHALLOW[name])) for _ in range(2))
-    _, _, walk = tower._pair_walk(A, B, j1, j1)
+    _, walk = tower._walk([A, B], [(j1, j1), (0, 0)])
     full = _full_walk(fam, *walk)
     assert engine.pair_diff_counts(fam, *walk) == full
     assert engine.pair_diff_support(fam, *walk) == sorted(full)
     shift = min(0, j1 - j2)
-    _, n0, M, boxes, cons = tower._walk([A, B, C], [(-shift, -shift), (j1 - shift, j1 - shift),
-                                                  (j2 - shift, j2 - shift)])
+    _, (n0, M, boxes, cons) = tower._walk([A, B, C], [(-shift, -shift), (j1 - shift, j1 - shift),
+                                                    (j2 - shift, j2 - shift)])
     assert (engine.multi_diff_counts(fam, n0, M, boxes, cons)
             == _full_multi_walk(fam, n0, M, boxes, cons))
 
@@ -301,12 +324,13 @@ def test_deep_walks_step_only_their_word_stages(preset_family, monkeypatch):
 
     monkeypatch.setattr(engine, "_step", counted)
     monkeypatch.setattr(engine, "_multi_step", multi_counted)
-    _, _, walk = tower._pair_walk(A, A, j1, j1)
-    assert walk[:2] == (1, 16) and engine._seed(fam, *walk)[0] == 16
+    _, walk = tower._walk([A, A], [(j1, j1), (0, 0)])
+    n0, M, _, _ = walk
+    assert (n0, M) == (1, 16) and engine._seed(fam, *walk)[0] == 16
     assert engine.pair_diff_counts(fam, *walk) == _full_walk(fam, *walk)
     assert correlation(A, A, j1) == Fraction(3, 64)
     assert intersection_measure([A, A, A], [0, j1, j2]) == Fraction(3, 256)
-    _, n0, M, boxes, cons = tower._walk([A, A, A], [(0, 0), (j1, j1), (j2, j2)])
+    _, (n0, M, boxes, cons) = tower._walk([A, A, A], [(0, 0), (j1, j1), (j2, j2)])
     assert engine.multi_diff_counts(fam, n0, M, boxes, cons) == \
         _full_multi_walk(fam, n0, M, boxes, cons)
     assert steps == {"pair": [15, 9, 15, 9], "multi": [15, 12, 9, 15, 12, 9]}
@@ -321,7 +345,7 @@ def test_one_state_walks_ask_diagonal_once_a_stage(preset_family, monkeypatch, w
     A = LevelSet.from_ranges(fam, 1, [(2, 4), (9, 10)])
     offs = fam.offsets_between
     j1 = offs(15)[3] - offs(15)[0] + offs(9)[1] - offs(9)[2]
-    _, _, walk = tower._pair_walk(A, A, j1, j1)
+    _, walk = tower._walk([A, A], [(j1, j1), (0, 0)])
     asked = []
     diagonal = engine._diagonal
 

@@ -35,8 +35,8 @@ def _old_return_support(A, B, lo, hi):
         parts.extend((-t + 1, -s + 1) for s, t in neg.runs)
     lo_nn = max(lo, 0)
     if hi >= lo_nn:
-        A0, B0, walk = tower._pair_walk(A, B, lo_nn, hi)
-        dc = engine.pair_diff_counts(A.family, *walk)
+        (A0, B0), (n0, M, boxes, cons) = tower._walk([A, B], [(lo_nn, hi), (0, 0)])
+        dc = engine.pair_diff_counts(A.family, n0, M, boxes, cons)
         parts.extend(_old_delta_runs(A0, B0, dc, lo_nn, hi))
     return _old_clamp(RunSet.of(parts), lo, hi)
 
@@ -53,10 +53,11 @@ def _old_divide(J, step):
 def _old_joint_return_set(A, B1, B2, p, q, horizon):
     if horizon <= 0 or A.is_empty() or B1.is_empty() or B2.is_empty():
         return RunSet(())
-    A1, C1, walk_p = tower._pair_walk(A, B1, p, p * horizon)
-    A2, C2, walk_q = tower._pair_walk(A, B2, q, q * horizon)
-    xp_lo, xp_hi = walk_p[2] - p, walk_p[3] - p * horizon
-    xq_lo, xq_hi = walk_q[2] - q, walk_q[3] - q * horizon
+    (A1, C1), walk_p = tower._walk([A, B1], [(p, p * horizon), (0, 0)])
+    (A2, C2), walk_q = tower._walk([A, B2], [(q, q * horizon), (0, 0)])
+    (_, _, [(dp_lo, dp_hi)], _), (_, _, [(dq_lo, dq_hi)], _) = walk_p, walk_q
+    xp_lo, xp_hi = dp_lo - p, dp_hi - p * horizon
+    xq_lo, xq_hi = dq_lo - q, dq_hi - q * horizon
     dp, dq = engine.lockstep_diff_states(
         A.family, p, q, walk_p, walk_q,
         (q * xp_lo - p * xq_hi, q * xp_hi - p * xq_lo))

@@ -439,6 +439,17 @@ def test_joint_return_set_refuses_powers_below_one(example_family, p, q):
         joint_return_set(A, A, A, p, q, 10)
 
 
+def test_walks_refuse_level_sets_of_two_families(example_family, roomy_family):
+    """Every exact answer sets up its engine walk in one place, which
+    refuses operands whose words run over different stage tables."""
+    A, B = LevelSet.level(example_family, 1, 0), LevelSet.level(roomy_family, 1, 0)
+    asks = [lambda: correlation(A, B, 3), lambda: intersection_measure([A, A, B], [3, 1, 0]),
+            lambda: return_support(A, B, -5, 5), lambda: joint_return_set(A, A, B, 1, 2, 5)]
+    for ask in asks:
+        with pytest.raises(ValueError, match="^level sets belong to different families$"):
+            ask()
+
+
 @pytest.mark.parametrize("fixture, naive_fixture", [("example_family", "example_naive"),
                                                     ("vl_small", "vl_small_naive")])
 def test_three_way_intersection_across_stages_matches_naive(request, fixture, naive_fixture):

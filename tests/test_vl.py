@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -23,6 +23,20 @@ def test_enumerate_vectors():
     for j in range(1, 101):
         assert vector_index(2, enumerate_vectors(2, j)) == j
         assert vector_index(3, enumerate_vectors(3, j)) == j
+
+
+def test_vectors_by_sum_then_lexicographic():
+    for L in range(1, 5):
+        want = sorted((c for c in combinations(range(1, 25), L) if sum(c) <= 24),
+                      key=lambda c: (sum(c), c))
+        assert list(islice(vl._vectors(L), len(want))) == want
+
+
+def test_enumerate_vectors_past_the_recursion_limit():
+    """One recursion level per coordinate ended L = 1000 in RecursionError."""
+    first, second = tuple(range(1, 1501)), tuple(range(1, 1500)) + (1501,)
+    assert [enumerate_vectors(1500, j) for j in (1, 2)] == [first, second]
+    assert [vector_index(1500, v) for v in (first, second)] == [1, 2]
 
 
 def test_s_index_examples():
