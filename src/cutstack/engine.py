@@ -52,9 +52,11 @@ vector families).
 
 A deep shift is a word difference at a few stages, so its walk holds one
 state through long runs of diagonal stages. While a pair or multi walk
-holds one state, a diagonal stage costs the :func:`_diagonal` call alone
-and builds no state: the state stays, and a counting walk multiplies one
-pending factor by the stage's count, paid into the counts once at the end.
+holds one state, a whole run of them costs one scan of the stage table
+(:func:`_diagonal_run`), two comparisons a stage, and builds no state: the
+state stays, and a counting walk multiplies one pending factor by the
+run's count, a quotient of two level widths, paid into the counts once at
+the end.
 
 The lift stage is the first whose room, height minus top-offset sum, holds
 the need. The room never falls, so :func:`minimal_valid_stage` bisects
@@ -84,14 +86,16 @@ def minimal_valid_stage(family, n0: int, need: int) -> int:
     never falls, because the top copy of stage n ends inside column n+1
     (offs[-1] + height(n) <= height(n+1), which
     ``test_copy_offsets_lie_a_column_apart`` pins), so a bisection over the
-    stages the family has built finds M there; past them the search climbs
-    one stage at a time and builds no stage above M.
+    stages the family has built, reading its held height and top-sum
+    tables, finds M there; past them the search climbs one stage at a time
+    and builds no stage above M.
     """
     top = family._top_sums_to(n0)
+    heights = family._heights_to(n0)
     base = top[n0]
-    # the table is indexed by stage and holds every built stage
-    held = range(n0, min(len(top), n0 + LIFT_STAGE_CAP + 1))
-    M = n0 + bisect_left(held, need - base, key=lambda m: family.height(m) - 1 - top[m])
+    # the tables are indexed by stage and hold every built stage
+    held = range(n0, min(len(heights), n0 + LIFT_STAGE_CAP + 1))
+    M = n0 + bisect_left(held, need - base, key=lambda m: heights[m] - 1 - top[m])
     if M < held.stop:
         return M
     M -= 1  # the last held stage falls short: climb on from it
@@ -133,6 +137,12 @@ def _diagonal(family, i: int, windows, picks) -> int | None:
     for w_lo, w_hi in windows:
         if w_lo > 0 or w_hi < 0:
             return 0
+    return _kept_copies(family, i, picks)
+
+
+def _kept_copies(family, i: int, picks) -> int:
+    """The number of stage-i copies that every operand selects, where
+    ``picks`` holds each operand's allowed positions (None for all)."""
     first = picks[0]
     if picks.count(first) == len(picks):
         return len(family._stage_offsets(i, first))
@@ -140,6 +150,66 @@ def _diagonal(family, i: int, windows, picks) -> int | None:
     for p in picks[1:]:
         common.intersection_update(family._stage_offsets(i, p))
     return len(common)
+
+
+def _diagonal_run(family, i: int, n0: int, x: tuple[int, ...],
+                  boxes: list[tuple[int, int]],
+                  constraints: list[dict[int, tuple[int, ...]]],
+                  ) -> tuple[int, int]:
+    """The run of diagonal stages from stage i down that a walk holding the
+    one state ``x`` (one delta per box) takes without a step: (s, c), where
+    stages s+1..i keep x, c ways. s < n0 means the walk is done, and c = 0
+    that it ends empty; otherwise stage s is the next to step, and its
+    step window is too wide for :func:`_diagonal` to tell.
+
+    With r = top[s] - top[n0] the reach of the stages below s, stage s
+    moves x_t by a difference in the step window (lo_t - r - x_t, hi_t + r
+    - x_t) of each box [lo_t, hi_t]. The windows
+    (a) fit strictly inside (-height(s), height(s)) exactly when
+        height(s) - r > max(x_t - lo_t, hi_t - x_t) for every t, and
+    (b) hold 0 exactly when r >= max(lo_t - x_t, x_t - hi_t) for every t.
+    Both are reads of the stage table. Where both hold, :func:`_diagonal`'s
+    argument (its premise is ``test_copy_offsets_lie_a_column_apart``)
+    admits only the steps that pair each copy with itself, so stepping the
+    stage leaves x and multiplies its count by the copies every operand
+    selects; where (a) holds and (b) fails it admits no step. So a scan
+    that checks each stage gives what stepping each stage gives.
+
+    Every operand selects every copy of a stage that no constraint map
+    keys, and level_width(n) is 1 over the cuts of the stages below n
+    multiplied, so the cuts of stages s+1..i multiply to the quotient of
+    the width denominators of stages i+1 and s+1; a constrained stage
+    counts the copies kept instead of its cuts.
+    """
+    heights = family._heights_to(i)
+    top = family._top_sums_to(i)
+    base = top[n0]
+    gaps = [g for v, (lo, hi) in zip(x, boxes) for g in (v - lo, hi - v)]
+    # (a) is heights[s] - top[s] > room and (b) is top[s] >= floor
+    room, floor = max(gaps) - base, base - min(gaps)
+    s = i
+    while s >= n0 and top[s] >= floor and heights[s] - top[s] > room:
+        s -= 1
+    if s >= n0 and heights[s] - top[s] > room:
+        return s, 0
+    if s == i:
+        return s, 1
+    ways = family.level_width(i + 1).denominator // family.level_width(s + 1).denominator
+    for t in {t for c in constraints for t in c if s < t <= i}:
+        kept = _kept_copies(family, t, [c.get(t) for c in constraints])
+        if not kept:
+            return s, 0
+        ways = ways // family.cuts_between(t) * kept
+    return s, ways
+
+
+def _no_state_fits(n0: int, M: int, boxes: list[tuple[int, int]]) -> bool:
+    """Whether no walk of the request can end in its boxes: some box is
+    empty, or the request walks no stage, so that it ends at the zero
+    state it starts from, and some box misses 0."""
+    if M <= n0:
+        return any(lo > 0 or hi < 0 for lo, hi in boxes)
+    return any(lo > hi for lo, hi in boxes)
 
 
 def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
@@ -285,45 +355,39 @@ def _pair_states(family, n0: int, M: int, boxes: list[tuple[int, int]],
     """The walk of the pair request (n0, M, [(lo, hi)], [ca, cb]) from
     ``start(seed states)`` through the stages below the :func:`_seed`
     stage, one ``step`` a stage: (the final states, the factor the counts
-    of a counting walk still owe). An empty window walks nothing.
+    of a counting walk still owe). A request no state can end in walks
+    nothing.
 
-    While the walk holds one state x, a stage costs one :func:`_diagonal`
-    call on the step window (t_lo - x, t_hi - x) and no step, where [t_lo,
-    t_hi] = [lo - r, hi + r] is the stage's window and r the reach of the
-    stages below it. The step window holds 0 exactly when x lies inside
-    [t_lo, t_hi]; when :func:`_diagonal` answers c > 0 the step could only
-    add 0 to x, c ways, so the state stays x and its count gains the
-    factor c; c = 0 ends the walk empty; None is handed to the step, which
-    then does not ask again. The premise is
-    ``test_copy_offsets_lie_a_column_apart``.
+    While the walk holds one state, :func:`_diagonal_run` takes the whole
+    run of diagonal stages below it in one scan of the stage table, and
+    the count of the state gains the run's factor; a run that admits no
+    step ends the walk empty. The stage that ends a run has a step window
+    too wide to tell, so its step does not ask :func:`_diagonal` again.
     A step is linear in the counts and keeps or drops a state by its delta
     alone, so multiplying the final counts by the product of these factors
     gives what stepping every stage gives; a support walk drops the factor.
     """
     [(lo, hi)], (ca, cb) = boxes, constraints
-    if lo > hi:
+    if _no_state_fits(n0, M, boxes):
         return start({}), 1
     S, seed = _seed(family, n0, M, boxes, constraints)
     cur = start(seed)
     top = family._top_sums_to(M)
     base = top[n0]
     factor = 1
-    for i in range(S - 1, n0 - 1, -1):
-        if not cur:
-            break
-        r = top[i] - base
+    i = S - 1
+    while i >= n0 and cur:
         asked = len(cur) == 1
         if asked:
-            x = next(iter(cur))
-            same = _diagonal(family, i, ((lo - r - x, hi + r - x),), (ca.get(i), cb.get(i)))
-            if same is not None:
-                if not same:
-                    cur.clear()
-                    break
-                factor *= same
-                continue
-        cur = step(family, i, cur, r, lo, hi, ca, cb, asked)
+            i, ways = _diagonal_run(family, i, n0, tuple(cur), boxes, constraints)
+            if not ways:
+                return start({}), 1
+            factor *= ways
+            if i < n0:
+                break
+        cur = step(family, i, cur, top[i] - base, lo, hi, ca, cb, asked)
         _check_cap(len(cur), i)
+        i -= 1
     return cur, factor
 
 
@@ -393,7 +457,8 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     n_p, M_p, [(lo_p, hi_p)], (ca_p, cb_p) = walk_p
     n_q, M_q, [(lo_q, hi_q)], (ca_q, cb_q) = walk_q
     g_lo, g_hi = gap
-    if lo_p > hi_p or lo_q > hi_q or g_lo > g_hi:
+    if (g_lo > g_hi or _no_state_fits(n_p, M_p, [(lo_p, hi_p)])
+            or _no_state_fits(n_q, M_q, [(lo_q, hi_q)])):
         return [], []
     S_p, seed_p = _seed(family, *walk_p)
     S_q, seed_q = _seed(family, *walk_q)
@@ -470,46 +535,50 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
     pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1, one
     :func:`_multi_step` a stage.
 
-    While the walk holds one state x, a stage costs one :func:`_diagonal`
-    call on the step windows (lo_t - r - x_t, hi_t + r - x_t) and no step,
-    where (lo_t, hi_t) is box t and r the reach of the stages below. These
-    all hold 0 exactly when x lies inside every bound [lo_t - r, hi_t + r];
-    when :func:`_diagonal` answers c > 0 the step could only add the zero
-    vector to x, c ways, so the state stays x and its count gains the
-    factor c; c = 0 ends the walk empty. The premise is
-    ``test_copy_offsets_lie_a_column_apart``. A step is linear in the
-    counts and keeps or drops a state by its deltas alone, so multiplying
-    the final counts by the product of these factors gives what stepping
-    every stage gives.
+    While the walk holds one state, :func:`_diagonal_run` takes the whole
+    run of diagonal stages below it in one scan of the stage table, and
+    the count of the state gains the run's factor; a run that admits no
+    step ends the walk empty, and the stage that ends a run is stepped
+    without asking :func:`_diagonal`, whose windows it found too wide to
+    tell. A stage with more states asks :func:`_diagonal` for their
+    windows. A step is linear in the counts and keeps or drops a state by
+    its deltas alone, so multiplying the final counts by the product of
+    these factors gives what stepping every stage gives.
     """
     k = len(constraints)
     if k < 2 or len(boxes) != k - 1:
         raise ValueError("need k >= 2 operands and k-1 boxes")
-    if any(lo > hi for lo, hi in boxes):
+    if _no_state_fits(n0, M, boxes):
         return {}
     top = family._top_sums_to(M)
     base = top[n0]
     cur: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
     factor = 1
-    for i in range(M - 1, n0 - 1, -1):
+    i = M - 1
+    while i >= n0:
+        if len(cur) == 1:
+            (x,) = cur
+            i, ways = _diagonal_run(family, i, n0, x, boxes, constraints)
+            if not ways:
+                return {}
+            factor *= ways
+            if i < n0:
+                break
         r = top[i] - base
         picks = [c.get(i) for c in constraints]
         # per-dimension viable step windows given the surviving states
         if len(cur) == 1:
-            (x,) = cur
             windows = [(lo - r - s, hi + r - s) for (lo, hi), s in zip(boxes, x)]
+            same = None  # the run ended here, too wide to tell
         else:
             windows = [(lo - r - max(col), hi + r - min(col))
                        for (lo, hi), col in zip(boxes, zip(*cur))]
-        same = _diagonal(family, i, windows, picks)
-        if same is not None:
-            if not same:
+            same = _diagonal(family, i, windows, picks)
+            if same == 0:
                 return {}
-            if len(cur) == 1:
-                factor *= same
-                continue
         cur = _multi_step(family, i, cur, r, boxes, picks, windows, same)
         if not cur:
             break
         _check_cap(len(cur), i)
+        i -= 1
     return {s: ways * factor for s, ways in cur.items()} if factor > 1 else cur

@@ -164,6 +164,12 @@ class Family(ABC):
             offs = self._selected.setdefault((n, positions), offs)
         return offs
 
+    def _heights_to(self, n: int) -> list[int]:
+        """The heights, built through stage n at least: entry t is
+        height(t), for every stage t the table holds."""
+        self._built(n, n)
+        return self._heights
+
     def _top_sums_to(self, n: int) -> list[int]:
         """The top-offset prefix sums, built through stage n at least: entry
         t is the most that stages first_stage..t-1 add to a position, so the

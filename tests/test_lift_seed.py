@@ -9,6 +9,7 @@ skipped stage or factor, shows as a different walk result.
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ REACH = {"example_family": 3000, "roomy_family": 3000, "zero_family": 300,
 
 def _full_walk(fam, n0, M, boxes, constraints):
     """Every stage from M - 1 down to n0, from the zero state, for a pair
-    request."""
+    request: the states that end in the box."""
     [(lo, hi)], (ca, cb) = boxes, constraints
     if lo > hi:
         return {}
@@ -67,7 +68,7 @@ def _full_walk(fam, n0, M, boxes, constraints):
         cur = nxt
         if not cur:
             break
-    return cur
+    return {d: ways for d, ways in cur.items() if lo <= d <= hi}
 
 
 @st.composite
@@ -223,7 +224,8 @@ def test_seed_falls_back_to_the_walks_own_start(example_family):
 
 def _full_multi_walk(fam, n0, M, boxes, constraints):
     """Every stage from M - 1 down to n0, from the zero state, for k
-    operands: each state extended by every tuple of allowed offsets."""
+    operands: each state extended by every tuple of allowed offsets, and
+    the states that end in the boxes."""
     cons = [c or {} for c in constraints]
     top = fam._top_sums_to(M)
     cur = {(0,) * len(boxes): 1}
@@ -240,7 +242,8 @@ def _full_multi_walk(fam, n0, M, boxes, constraints):
         cur = nxt
         if not cur:
             break
-    return cur
+    return {t: ways for t, ways in cur.items()
+            if all(lo <= v <= hi for (lo, hi), v in zip(boxes, t))}
 
 
 # families whose room grows with the column, so shifts made of word
@@ -272,24 +275,34 @@ def _word_differences(draw, fam, n0):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_one_state_skips_match_full_walks(request, name, data):
-    """The pair walks and the three-operand multi walk, which take a
-    one-state diagonal stage with one multiplication, against the walks
-    that step every stage, with equal or differing letter constraints at
-    one stage above the level sets' own."""
+    """The pair walks and the three-operand multi walk, which take a run
+    of one-state diagonal stages in one scan, against the walks that step
+    every stage. Letter constraints above the level sets' own are equal or
+    differing at one stage, at two stages, or disjoint, so that a run
+    meeting them ends the walk empty; a shift of 0 makes one run of the
+    whole walk, down to n0."""
     fam = request.getfixturevalue(name)
     A, B, C = (data.draw(level_sets(fam)) for _ in range(3))
-    kind = data.draw(st.sampled_from(["none", "equal", "differing"]))
-    if kind != "none":
-        t = data.draw(st.integers(fam.first_stage + 4, 20))
+    kind = data.draw(st.sampled_from(["none", "equal", "differing", "two", "disjoint"]))
+    stages = data.draw(st.sets(st.integers(fam.first_stage + 4, 20), min_size=1,
+                               max_size=2 if kind == "two" else 1))
+    for t in stages if kind != "none" else ():
         every = range(fam.cuts_between(t))
         P = data.draw(st.sets(st.sampled_from(every), min_size=1))
-        Q = P if kind == "equal" else data.draw(st.sets(st.sampled_from(every), min_size=1))
+        if kind == "equal":
+            Q = P
+        elif kind == "disjoint" and len(P) < len(every):
+            Q = data.draw(st.sets(st.sampled_from(sorted(set(every) - P)), min_size=1))
+        else:
+            Q = data.draw(st.sets(st.sampled_from(every), min_size=1))
         A, B = A.constrain(t, tuple(P)), B.constrain(t, tuple(Q))
         C = C.constrain(t, tuple(Q))
     if name in DEEP:
         j1, j2 = (data.draw(_word_differences(fam, A.stage)) for _ in range(2))
     else:
         j1, j2 = (data.draw(st.integers(0, SHALLOW[name])) for _ in range(2))
+    if data.draw(st.integers(0, 4)) == 0:
+        j1 = 0
     _, walk = tower._walk([A, B], [(j1, j1), (0, 0)])
     full = _full_walk(fam, *walk)
     assert engine.pair_diff_counts(fam, *walk) == full
@@ -301,16 +314,23 @@ def test_one_state_skips_match_full_walks(request, name, data):
             == _full_multi_walk(fam, n0, M, boxes, cons))
 
 
+def _deep_shifts(fam):
+    """A stage-1 level set of the preset and two shifts made of word
+    differences at stages 15 and 9 and at stages 12 and 9."""
+    A = LevelSet.from_ranges(fam, 1, [(2, 4), (9, 10)])
+    offs = fam.offsets_between
+    j1 = offs(15)[3] - offs(15)[0] + offs(9)[1] - offs(9)[2]
+    j2 = offs(12)[2] - offs(12)[1] + offs(9)[1] - offs(9)[2]
+    return A, j1, j2
+
+
 def test_deep_walks_step_only_their_word_stages(preset_family, monkeypatch):
     """Shifts made of word differences at stages 15 and 9 (and 12 and 9 for
     the third operand) of the preset lift to stage 16 and leave each walk
     one state at every other stage, where the windows fit inside the
     column: the pair walk steps 2 of its 15 stages and the multi walk 3."""
     fam = preset_family
-    A = LevelSet.from_ranges(fam, 1, [(2, 4), (9, 10)])
-    offs = fam.offsets_between
-    j1 = offs(15)[3] - offs(15)[0] + offs(9)[1] - offs(9)[2]
-    j2 = offs(12)[2] - offs(12)[1] + offs(9)[1] - offs(9)[2]
+    A, j1, j2 = _deep_shifts(fam)
     steps = {"pair": [], "multi": []}
     step, multi_step = engine._step, engine._multi_step
 
@@ -336,23 +356,85 @@ def test_deep_walks_step_only_their_word_stages(preset_family, monkeypatch):
     assert steps == {"pair": [15, 9, 15, 9], "multi": [15, 12, 9, 15, 12, 9]}
 
 
-@pytest.mark.parametrize("walk_fn", [engine.pair_diff_counts, engine.pair_diff_support])
-def test_one_state_walks_ask_diagonal_once_a_stage(preset_family, monkeypatch, walk_fn):
-    """The pair walk above holds one state at each of its stages 15..1 and
-    steps stages 15 and 9, which are not diagonal: the walk hands the
-    answer it got there to the step, so every stage asks once."""
+@pytest.mark.parametrize("walk_fn", [engine.pair_diff_counts, engine.pair_diff_support,
+                                     engine.multi_diff_counts])
+def test_one_state_walks_never_ask_diagonal(preset_family, monkeypatch, walk_fn):
+    """The walks above hold one state at each of their stages 15..1. Each
+    run of diagonal stages between the word stages is one scan of the
+    stage table, and the word stages, whose windows are too wide to tell,
+    are stepped without asking: the pair walks step stages 15 and 9, the
+    multi walk 15, 12 and 9, and no walk calls _diagonal."""
     fam = preset_family
-    A = LevelSet.from_ranges(fam, 1, [(2, 4), (9, 10)])
-    offs = fam.offsets_between
-    j1 = offs(15)[3] - offs(15)[0] + offs(9)[1] - offs(9)[2]
-    _, walk = tower._walk([A, A], [(j1, j1), (0, 0)])
-    asked = []
-    diagonal = engine._diagonal
+    A, j1, j2 = _deep_shifts(fam)
+    if walk_fn is engine.multi_diff_counts:
+        _, walk = tower._walk([A, A, A], [(0, 0), (j1, j1), (j2, j2)])
+    else:
+        _, walk = tower._walk([A, A], [(j1, j1), (0, 0)])
+    asked, steps = [], []
+    for name, log in [("_diagonal", asked), ("_step", steps), ("_support_step", steps),
+                      ("_multi_step", steps)]:
+        def counted(family, i, *args, _fn=getattr(engine, name), _log=log):
+            _log.append(i)
+            return _fn(family, i, *args)
+        monkeypatch.setattr(engine, name, counted)
+    assert walk_fn(fam, *walk)
+    assert asked == []
+    assert steps == ([15, 12, 9] if walk_fn is engine.multi_diff_counts else [15, 9])
+
+
+def test_constrained_runs_count_their_kept_copies(preset_family, monkeypatch):
+    """Constraints at stages inside the runs of the deep walks above: two
+    stages of one run count their common copies in place of their cuts,
+    and disjoint picks end the walk inside a run, after one step."""
+    fam = preset_family
+    steps = []
+    step = engine._step
 
     def counted(family, i, *args):
-        asked.append(i)
-        return diagonal(family, i, *args)
+        steps.append(i)
+        return step(family, i, *args)
 
-    monkeypatch.setattr(engine, "_diagonal", counted)
-    assert walk_fn(fam, *walk)
-    assert asked == list(range(15, 0, -1))
+    monkeypatch.setattr(engine, "_step", counted)
+    A, j1, j2 = _deep_shifts(fam)
+    two = (A.constrain(13, (0, 1, 2)).constrain(11, (0, 3)),
+           A.constrain(13, (1, 2, 3)).constrain(11, (3,)))
+    disjoint = (A.constrain(13, (0, 1)), A.constrain(13, (2, 3)))
+    free = engine.pair_diff_counts(fam, *tower._walk([A, A], [(j1, j1), (0, 0)])[1])
+    for (A1, A2), kept, stepped in [(two, Fraction(2, 4) * Fraction(1, 4), [15, 9]),
+                                    (disjoint, 0, [15])]:
+        _, walk = tower._walk([A1, A2], [(j1, j1), (0, 0)])
+        steps.clear()
+        counts = engine.pair_diff_counts(fam, *walk)
+        assert steps == stepped
+        assert counts == _full_walk(fam, *walk)
+        assert counts == {d: ways * kept for d, ways in free.items() if ways * kept}
+        assert engine.pair_diff_support(fam, *walk) == sorted(counts)
+        _, (n0, M, boxes, cons) = tower._walk([A1, A2, A2], [(0, 0), (j1, j1), (j2, j2)])
+        multi = engine.multi_diff_counts(fam, n0, M, boxes, cons)
+        assert multi == _full_multi_walk(fam, n0, M, boxes, cons)
+        assert bool(multi) == bool(kept)
+
+
+@pytest.mark.parametrize("name", sorted(set(REACH) | set(DEEP)))
+def test_level_widths_invert_the_cut_products(request, name):
+    """The run factor is a quotient of two width denominators: it rests on
+    level_width(n) being 1 over the cuts of the stages below n multiplied."""
+    fam = request.getfixturevalue(name)
+    for n in range(fam.first_stage, 13):
+        cuts = prod(fam.cuts_between(k) for k in range(fam.first_stage, n))
+        assert fam.level_width(n) == Fraction(1, cuts), (name, n)
+
+
+def test_walks_over_no_stage_keep_zero_only_inside_the_box(example_family):
+    """A request with M = n0 walks no stage: its one state is the zero
+    state it starts from, kept only when every box holds 0."""
+    fam, none = example_family, [{}, {}]
+    assert engine.pair_diff_counts(fam, 1, 1, [(5, 5)], none) == {}
+    assert engine.pair_diff_support(fam, 1, 1, [(5, 5)], none) == []
+    assert engine.multi_diff_counts(fam, 1, 1, [(5, 5)], none) == {}
+    assert engine.pair_diff_counts(fam, 1, 1, [(-2, 3)], none) == {0: 1}
+    assert engine.pair_diff_support(fam, 1, 1, [(0, 0)], none) == [0]
+    assert engine.multi_diff_counts(fam, 1, 1, [(0, 4), (-1, 0)], [{}, {}, {}]) == {(0, 0): 1}
+    assert engine.multi_diff_counts(fam, 1, 1, [(0, 4), (1, 2)], [{}, {}, {}]) == {}
+    assert engine.lockstep_diff_states(fam, 1, 1, (1, 1, [(5, 5)], none),
+                                       (1, 1, [(0, 0)], none), (-9, 9)) == ([], [])
