@@ -209,10 +209,6 @@ class AfsParams(Family):
 
     # -- Family interface ----------------------------------------------------
 
-    def height_profile(self, up_to: int) -> list[tuple[int, int]]:
-        self.ensure(up_to)
-        return [(self._heights[n], self.marker(n)) for n in range(up_to + 1)]
-
     def descriptor(self) -> dict:
         return {
             "format_version": 1,

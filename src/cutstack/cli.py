@@ -104,7 +104,9 @@ def cmd_classify(args) -> int:
     p, q = _parse_pair(args.ratio)
     verdict = classify(family, p, q, horizon=args.horizon,
                        negative_first=args.negative_first)
-    report = Report(f"classify ratio={args.ratio} horizon={args.horizon}", family)
+    # the flag changes what is certified (T^-p x T^q), so a report names it
+    flag = " negative_first=True" if args.negative_first else ""
+    report = Report(f"classify ratio={args.ratio} horizon={args.horizon}{flag}", family)
     report.add("regime", verdict.regime)
     report.add("basis", verdict.basis)
     report.add("reduced", f"{verdict.reduced[0]}/{verdict.reduced[1]}")

@@ -50,13 +50,16 @@ finds its partners by bisection, and no table of all offset differences is
 built (quadratic in the cut count, which reaches the thousands on geometric
 vector families).
 
-A deep shift is a word difference at a few stages, so its walk holds one
-state through long runs of diagonal stages. While a pair or multi walk
-holds one state, a whole run of them costs one scan of the stage table
-(:func:`_diagonal_run`), two comparisons a stage, and builds no state: the
-state stays, and a counting walk multiplies one pending factor by the
-run's count, a quotient of two level widths, paid into the counts once at
-the end.
+The pair and multi walks descend the stages in one loop (:func:`_descend`)
+and differ only in their step kernels and state types. A deep shift is a
+word difference at a few stages, so its walk holds one state through long
+runs of diagonal stages. While a walk holds one state, the loop takes a
+whole run of them in one scan of the stage table (:func:`_diagonal_run`),
+two comparisons a stage, and builds no state: the state stays, and a
+counting walk multiplies one pending factor by the run's count, a quotient
+of two level widths, paid into the counts once at the end. A step kernel
+asks :func:`_diagonal` only when it holds more than one state: one state
+reaches a kernel only where a run scan found the window too wide to tell.
 
 The lift stage is the first whose room, height minus top-offset sum, holds
 the need. The room never falls, so :func:`minimal_valid_stage` bisects
@@ -212,19 +215,11 @@ def _no_state_fits(n0: int, M: int, boxes: list[tuple[int, int]]) -> bool:
     return any(lo > hi for lo, hi in boxes)
 
 
-def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
-                 ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-                 asked: bool = False) -> dict[int, int]:
+def _stage_diffs(family, i: int, d_lo: int, d_hi: int, pa, pb) -> dict[int, int]:
     """The stage-i offset differences b - a in [d_lo, d_hi], each with the
-    number of offset pairs (a, b) that give it. A window that can hold only
-    the difference 0 is answered by :func:`_diagonal` without reading the
-    offsets; otherwise the partners of each offset are found by bisection.
-    ``asked`` says that the caller's :func:`_diagonal` call found this
-    window too wide to tell, so it is not asked again."""
-    pa, pb = ca.get(i), cb.get(i)
-    same = None if asked else _diagonal(family, i, ((d_lo, d_hi),), (pa, pb))
-    if same is not None:
-        return {0: same} if same else {}
+    number of offset pairs (a, b) that give it, where a and b are offsets of
+    the copies at positions ``pa`` and ``pb`` (None for all): the partners
+    of each offset are found by bisection."""
     offs_a = family._stage_offsets(i, pa)
     offs_b = family._stage_offsets(i, pb)
     # offsets are sorted, so the partners b of each a form one contiguous block
@@ -237,15 +232,21 @@ def _stage_diffs(family, i: int, d_lo: int, d_hi: int,
     return diffs
 
 
-def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
-          ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-          asked: bool) -> dict[int, int]:
-    """One stage of the top-down counting walk: extend every state by the
-    stage-i offset differences b - a, keeping those that can still end in
-    [lo, hi] with the remaining reach r. ``cur`` must be nonempty."""
+def _step(family, i: int, cur: dict[int, int], r: int, boxes: list[tuple[int, int]],
+          constraints: list[dict[int, tuple[int, ...]]]) -> dict[int, int]:
+    """One stage of the top-down counting walk of the pair request with
+    ``boxes`` [(lo, hi)] and ``constraints`` [ca, cb]: extend every state
+    by the stage-i offset differences b - a, keeping those that can still
+    end in [lo, hi] with the remaining reach r. More than one state asks
+    :func:`_diagonal` for the window first. ``cur`` must be nonempty."""
+    [(lo, hi)], (ca, cb) = boxes, constraints
     t_lo, t_hi = lo - r, hi + r
     # viable step sizes: some state must stay within window +- remaining reach
-    diffs = _stage_diffs(family, i, t_lo - max(cur), t_hi - min(cur), ca, cb, asked)
+    d_lo, d_hi, pa, pb = t_lo - max(cur), t_hi - min(cur), ca.get(i), cb.get(i)
+    kept = _diagonal(family, i, ((d_lo, d_hi),), (pa, pb)) if len(cur) > 1 else None
+    if kept == 0:
+        return {}
+    diffs = _stage_diffs(family, i, d_lo, d_hi, pa, pb) if kept is None else {0: kept}
     nxt: dict[int, int] = {}
     for s, ways in cur.items():
         for d, mult in diffs.items():
@@ -255,16 +256,20 @@ def _step(family, i: int, cur: dict[int, int], r: int, lo: int, hi: int,
     return nxt
 
 
-def _support_step(family, i: int, cur: list[int], r: int, lo: int, hi: int,
-                  ca: dict[int, tuple[int, ...]], cb: dict[int, tuple[int, ...]],
-                  asked: bool = False) -> list[int]:
+def _support_step(family, i: int, cur: list[int], r: int, boxes: list[tuple[int, int]],
+                  constraints: list[dict[int, tuple[int, ...]]]) -> list[int]:
     """:func:`_step` without the counts: the sorted states it reaches from
     the sorted nonempty states ``cur``. The sums state + difference in the
     window that one entry x of the shorter of the two sorted lists makes
     are one slice of the longer list, shifted by x, so the Python loop runs
     over the shorter list only."""
+    [(lo, hi)], (ca, cb) = boxes, constraints
     t_lo, t_hi = lo - r, hi + r
-    diffs = sorted(_stage_diffs(family, i, t_lo - cur[-1], t_hi - cur[0], ca, cb, asked))
+    d_lo, d_hi, pa, pb = t_lo - cur[-1], t_hi - cur[0], ca.get(i), cb.get(i)
+    kept = _diagonal(family, i, ((d_lo, d_hi),), (pa, pb)) if len(cur) > 1 else None
+    if kept == 0:
+        return []
+    diffs = sorted(_stage_diffs(family, i, d_lo, d_hi, pa, pb)) if kept is None else [0]
     outer, inner = (cur, diffs) if len(cur) < len(diffs) else (diffs, cur)
     if len(outer) == 1:  # one slice, sorted and free of repeats already
         x = outer[0]
@@ -321,14 +326,17 @@ def _seed(family, n0: int, M: int, boxes: list[tuple[int, int]],
     height comparison, so walks whose top stage is needed cost nothing.
     """
     [(lo, hi)] = boxes
-    if M <= n0 or family.height(M - 1) <= hi or lo <= -family.height(n0):
+    if M <= n0:
+        return M, {0: 1}
+    heights = family._heights_to(M - 1)
+    if heights[M - 1] <= hi or lo <= -heights[n0]:
         return M, {0: 1}
     S = max([n0] + [t + 1 for c in constraints for t in c])
     if S >= M:
         return M, {0: 1}
     # heights never decrease and height(M - 1) > hi: bisect for the first
     # stage taller than hi
-    S += bisect_right(range(S, M - 1), hi, key=family.height)
+    S += bisect_right(range(S, M - 1), hi, key=heights.__getitem__)
     top = family._top_sums_to(M)
     t_hi = hi + top[S] - top[n0]
     t_lo = lo - top[S] + top[n0]
@@ -339,7 +347,7 @@ def _seed(family, n0: int, M: int, boxes: list[tuple[int, int]],
         shift = top[s] - top[S]
         # copies lie height(s) apart at least, so every chain from s adds at
         # least height(s) - shift, which never falls as s grows
-        if family.height(s) - shift <= t_hi:
+        if heights[s] - shift <= t_hi:
             for a, b in zip(offs, offs[1:]):
                 t = b - a - shift
                 if t <= t_hi:
@@ -350,45 +358,51 @@ def _seed(family, n0: int, M: int, boxes: list[tuple[int, int]],
     return S, cur
 
 
-def _pair_states(family, n0: int, M: int, boxes: list[tuple[int, int]],
-                 constraints: list[dict[int, tuple[int, ...]]], start, step):
-    """The walk of the pair request (n0, M, [(lo, hi)], [ca, cb]) from
-    ``start(seed states)`` through the stages below the :func:`_seed`
-    stage, one ``step`` a stage: (the final states, the factor the counts
-    of a counting walk still owe). A request no state can end in walks
-    nothing.
+def _descend(family, n0: int, i: int, cur, boxes: list[tuple[int, int]],
+             constraints: list[dict[int, tuple[int, ...]]], step):
+    """The walk of the request (n0, _, boxes, constraints) from the states
+    ``cur`` through stages i..n0, one ``step`` a stage: (the final states,
+    the factor the counts of a counting walk still owe).
 
     While the walk holds one state, :func:`_diagonal_run` takes the whole
     run of diagonal stages below it in one scan of the stage table, and
     the count of the state gains the run's factor; a run that admits no
-    step ends the walk empty. The stage that ends a run has a step window
-    too wide to tell, so its step does not ask :func:`_diagonal` again.
-    A step is linear in the counts and keeps or drops a state by its delta
-    alone, so multiplying the final counts by the product of these factors
-    gives what stepping every stage gives; a support walk drops the factor.
+    step ends the walk empty. A step is linear in the counts and keeps or
+    drops a state by its deltas alone, so multiplying the final counts by
+    the product of these factors gives what stepping every stage gives; a
+    support walk drops the factor. A ``step`` asks :func:`_diagonal` only
+    when it holds more than one state: one state reaches it only at the
+    stage that ends a run, whose window the scan found too wide to tell.
     """
-    [(lo, hi)], (ca, cb) = boxes, constraints
-    if _no_state_fits(n0, M, boxes):
-        return start({}), 1
-    S, seed = _seed(family, n0, M, boxes, constraints)
-    cur = start(seed)
-    top = family._top_sums_to(M)
+    top = family._top_sums_to(max(i, n0))
     base = top[n0]
     factor = 1
-    i = S - 1
     while i >= n0 and cur:
-        asked = len(cur) == 1
-        if asked:
-            i, ways = _diagonal_run(family, i, n0, tuple(cur), boxes, constraints)
+        if len(cur) == 1:
+            # a pair walk's state is its one delta, a multi walk's a tuple
+            x = next(iter(cur))
+            i, ways = _diagonal_run(family, i, n0, x if type(x) is tuple else (x,),
+                                    boxes, constraints)
             if not ways:
-                return start({}), 1
+                return type(cur)(), 1
             factor *= ways
             if i < n0:
                 break
-        cur = step(family, i, cur, top[i] - base, lo, hi, ca, cb, asked)
+        cur = step(family, i, cur, top[i] - base, boxes, constraints)
         _check_cap(len(cur), i)
         i -= 1
     return cur, factor
+
+
+def _pair_states(family, n0: int, M: int, boxes: list[tuple[int, int]],
+                 constraints: list[dict[int, tuple[int, ...]]], start, step):
+    """:func:`_descend` for the pair request (n0, M, [(lo, hi)], [ca, cb])
+    from ``start(seed states)`` through the stages below the :func:`_seed`
+    stage. A request no state can end in walks nothing."""
+    if _no_state_fits(n0, M, boxes):
+        return start({}), 1
+    S, seed = _seed(family, n0, M, boxes, constraints)
+    return _descend(family, n0, S - 1, start(seed), boxes, constraints, step)
 
 
 def pair_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
@@ -454,11 +468,11 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     pair of final deltas with q*delta_p - p*delta_q in ``gap`` survives,
     but a survivor need not have such a partner.
     """
-    n_p, M_p, [(lo_p, hi_p)], (ca_p, cb_p) = walk_p
-    n_q, M_q, [(lo_q, hi_q)], (ca_q, cb_q) = walk_q
+    n_p, M_p, boxes_p, cons_p = walk_p
+    n_q, M_q, boxes_q, cons_q = walk_q
     g_lo, g_hi = gap
-    if (g_lo > g_hi or _no_state_fits(n_p, M_p, [(lo_p, hi_p)])
-            or _no_state_fits(n_q, M_q, [(lo_q, hi_q)])):
+    if (g_lo > g_hi or _no_state_fits(n_p, M_p, boxes_p)
+            or _no_state_fits(n_q, M_q, boxes_q)):
         return [], []
     S_p, seed_p = _seed(family, *walk_p)
     S_q, seed_q = _seed(family, *walk_q)
@@ -469,13 +483,11 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
     base_p, base_q = top[n_p], top[n_q]
     for i in range(max(S_p, S_q) - 1, min(n_p, n_q) - 1, -1):
         if n_p <= i < S_p:
-            cur_p = _support_step(family, i, cur_p, top[i] - base_p, lo_p, hi_p,
-                                  ca_p, cb_p)
+            cur_p = _support_step(family, i, cur_p, top[i] - base_p, boxes_p, cons_p)
             if not cur_p:
                 return [], []
         if n_q <= i < S_q:
-            cur_q = _support_step(family, i, cur_q, top[i] - base_q, lo_q, hi_q,
-                                  ca_q, cb_q)
+            cur_q = _support_step(family, i, cur_q, top[i] - base_q, boxes_q, cons_q)
         r_p = top[min(max(i, n_p), S_p)] - base_p
         r_q = top[min(max(i, n_q), S_q)] - base_q
         slack = q * r_p + p * r_q
@@ -488,19 +500,31 @@ def lockstep_diff_states(family, p: int, q: int, walk_p: tuple, walk_q: tuple,
 
 
 def _multi_step(family, i: int, cur: dict[tuple[int, ...], int], r: int,
-                boxes: list[tuple[int, int]], picks: list, windows: list[tuple[int, int]],
-                same: int | None) -> dict[tuple[int, ...], int]:
+                boxes: list[tuple[int, int]], constraints: list[dict[int, tuple[int, ...]]],
+                ) -> dict[tuple[int, ...], int]:
     """One stage of the multi walk: extend every state by the stage-i step
     vectors, keeping those that can still end in the boxes with the
-    remaining reach r. ``windows`` are the viable step windows and
-    ``same`` what :func:`_diagonal` answers for them: the count of the
-    zero vector when it is the only one; otherwise each base offset finds
-    the partners of every other operand by bisection, and their product
-    gives the vectors. ``cur`` must be nonempty."""
+    remaining reach r. More than one state asks :func:`_diagonal` for the
+    viable step windows first, and the zero vector is the only step when
+    it answers; otherwise each base offset finds the partners of every
+    other operand by bisection, and their product gives the vectors.
+    ``cur`` must be nonempty."""
     # states that can still end in the boxes with the remaining reach r
     bounds = [(lo - r, hi + r) for lo, hi in boxes]
-    if same is not None:
-        diffs = {(0,) * len(boxes): same}
+    picks = [c.get(i) for c in constraints]
+    # per-dimension viable step windows given the surviving states
+    if len(cur) == 1:
+        (x,) = cur
+        windows = [(lo - r - s, hi + r - s) for (lo, hi), s in zip(boxes, x)]
+        kept = None
+    else:
+        windows = [(lo - r - max(col), hi + r - min(col))
+                   for (lo, hi), col in zip(boxes, zip(*cur))]
+        kept = _diagonal(family, i, windows, picks)
+    if kept == 0:
+        return {}
+    if kept is not None:
+        diffs = {(0,) * len(boxes): kept}
     else:
         base_offs = family._stage_offsets(i, picks[0])
         side_offs = [family._stage_offsets(i, p) for p in picks[1:]]
@@ -532,53 +556,14 @@ def multi_diff_counts(family, n0: int, M: int, boxes: list[tuple[int, int]],
                       constraints: list[dict[int, tuple[int, ...]]],
                       ) -> dict[tuple[int, ...], int]:
     """k-operand generalization: counts of word tuples (w_0..w_{k-1}) with
-    pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1, one
-    :func:`_multi_step` a stage.
-
-    While the walk holds one state, :func:`_diagonal_run` takes the whole
-    run of diagonal stages below it in one scan of the stage table, and
-    the count of the state gains the run's factor; a run that admits no
-    step ends the walk empty, and the stage that ends a run is stepped
-    without asking :func:`_diagonal`, whose windows it found too wide to
-    tell. A stage with more states asks :func:`_diagonal` for their
-    windows. A step is linear in the counts and keeps or drops a state by
-    its deltas alone, so multiplying the final counts by the product of
-    these factors gives what stepping every stage gives.
-    """
+    pos(w_t) - pos(w_0) = delta_t inside boxes[t-1] for t = 1..k-1, the
+    :func:`_descend` of the zero state through stages M-1..n0, one
+    :func:`_multi_step` a stage."""
     k = len(constraints)
     if k < 2 or len(boxes) != k - 1:
         raise ValueError("need k >= 2 operands and k-1 boxes")
     if _no_state_fits(n0, M, boxes):
         return {}
-    top = family._top_sums_to(M)
-    base = top[n0]
-    cur: dict[tuple[int, ...], int] = {(0,) * (k - 1): 1}
-    factor = 1
-    i = M - 1
-    while i >= n0:
-        if len(cur) == 1:
-            (x,) = cur
-            i, ways = _diagonal_run(family, i, n0, x, boxes, constraints)
-            if not ways:
-                return {}
-            factor *= ways
-            if i < n0:
-                break
-        r = top[i] - base
-        picks = [c.get(i) for c in constraints]
-        # per-dimension viable step windows given the surviving states
-        if len(cur) == 1:
-            windows = [(lo - r - s, hi + r - s) for (lo, hi), s in zip(boxes, x)]
-            same = None  # the run ended here, too wide to tell
-        else:
-            windows = [(lo - r - max(col), hi + r - min(col))
-                       for (lo, hi), col in zip(boxes, zip(*cur))]
-            same = _diagonal(family, i, windows, picks)
-            if same == 0:
-                return {}
-        cur = _multi_step(family, i, cur, r, boxes, picks, windows, same)
-        if not cur:
-            break
-        _check_cap(len(cur), i)
-        i -= 1
+    cur, factor = _descend(family, n0, M - 1, {(0,) * (k - 1): 1}, boxes, constraints,
+                           _multi_step)
     return {s: ways * factor for s, ways in cur.items()} if factor > 1 else cur

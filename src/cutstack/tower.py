@@ -139,12 +139,6 @@ class Family(ABC):
         self._built(n, n + 1)
         return self._offsets[n]
 
-    def height_profile(self, up_to: int) -> list:
-        """Exact heights of stages first_stage..up_to; families with an
-        internal marker give (height, marker) pairs."""
-        self.ensure(up_to)
-        return [self._heights[n] for n in range(self.first_stage, up_to + 1)]
-
     def cuts_between(self, n: int) -> int:
         """Number of subcolumns stage n is cut into to form stage n+1."""
         return len(self.offsets_between(n))

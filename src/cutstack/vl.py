@@ -293,11 +293,6 @@ class VlFamily(Family):
         # the top of the last copy is g_m, and g_m spacers go above it
         return tuple(offs), 2 * (offs[-1] + h)
 
-    def stack_height(self, n: int) -> int:
-        """g_n: the height of the restacked subcolumns before the top spacers."""
-        self._built(n, n + 1)
-        return self._heights[n + 1] // 2
-
     def descriptor(self) -> dict:
         return self.spec.to_json()
 

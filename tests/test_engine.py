@@ -295,6 +295,11 @@ def _picks(draw, cuts):
 @given(st.data())
 @settings(max_examples=250, deadline=None)
 def test_stage_diffs_match_reference(data):
+    """Each step kernel, holding the two states 0 and 1 at reach 0 with the
+    box [d_lo + 1, d_hi], asks _diagonal for the step window [d_lo, d_hi]
+    and must reach what the bisecting reference's differences reach. State
+    1 weighs more than any offset pair count, so every difference of the
+    window shows in the counts."""
     name = data.draw(st.sampled_from(sorted(DIAGONAL_FAMILIES)))
     fam = DIAGONAL_FAMILIES[name]
     i = data.draw(st.integers(fam.first_stage, fam.first_stage + 3))
@@ -305,8 +310,17 @@ def test_stage_diffs_match_reference(data):
         pa, pb = pb, pa
     ca = {} if pa is None else {i: pa}
     cb = {} if pb is None else {i: pb}
-    assert (engine._stage_diffs(fam, i, d_lo, d_hi, ca, cb)
-            == reference_stage_diffs(fam, i, d_lo, d_hi, ca, cb))
+    cur = {0: 1, 1: 1 << 20}
+    want = {}
+    for s, ways in cur.items():
+        for d, mult in reference_stage_diffs(fam, i, d_lo, d_hi, ca, cb).items():
+            if d_lo + 1 <= s + d <= d_hi:
+                want[s + d] = want.get(s + d, 0) + ways * mult
+    boxes, cons = [(d_lo + 1, d_hi)], [ca, cb]
+    assert engine._step(fam, i, cur, 0, boxes, cons) == want
+    assert engine._support_step(fam, i, sorted(cur), 0, boxes, cons) == sorted(want)
+    assert (engine._multi_step(fam, i, {(s,): w for s, w in cur.items()}, 0, boxes, cons)
+            == {(t,): w for t, w in want.items()})
 
 
 @given(st.data())

@@ -145,7 +145,7 @@ def test_family_documents_load_or_fail_cleanly(doc, deadline):
         try:
             family = family_from_json(doc)
             assert isinstance(family, Family)
-            family.height_profile(family.first_stage + 2)
+            family.height(family.first_stage + 2)
         except (CutstackError, ValueError):
             pass
 

@@ -382,6 +382,37 @@ def test_one_state_walks_never_ask_diagonal(preset_family, monkeypatch, walk_fn)
     assert steps == ([15, 12, 9] if walk_fn is engine.multi_diff_counts else [15, 9])
 
 
+@pytest.mark.parametrize("walk_fn", [engine.pair_diff_counts, engine.pair_diff_support,
+                                     engine.multi_diff_counts])
+def test_several_state_steps_ask_diagonal_once(example_family, monkeypatch, walk_fn):
+    """Lags 1000..1100 of a three-run set on the example family: the pair
+    walks step stages 3, 2 and 1 with hundreds of states, and the multi walk
+    steps stage 55 with one state and stages 54..1 with more. Each step
+    that holds more than one state asks _diagonal once, for its own stage,
+    and no other call asks."""
+    fam = example_family
+    A = LevelSet.from_ranges(fam, 1, [(2, 6), (9, 12), (20, 30)])
+    lags = [(1000, 1100), (0, 0)] + ([(500, 550)] if walk_fn is engine.multi_diff_counts
+                                     else [])
+    _, walk = tower._walk([A] * len(lags), lags)
+    asked, steps = [], []
+    for name in ["_diagonal", "_step", "_support_step", "_multi_step"]:
+        def counted(family, i, *args, _fn=getattr(engine, name), _name=name):
+            if _name == "_diagonal":
+                asked.append(i)
+            else:
+                steps.append((i, len(args[0])))
+            return _fn(family, i, *args)
+        monkeypatch.setattr(engine, name, counted)
+    assert walk_fn(fam, *walk)
+    several = [i for i, n in steps if n > 1]
+    assert asked == several
+    if walk_fn is engine.multi_diff_counts:
+        assert steps[0] == (55, 1) and several == list(range(54, 0, -1))
+    else:
+        assert several == [3, 2, 1] == [i for i, _ in steps]
+
+
 def test_constrained_runs_count_their_kept_copies(preset_family, monkeypatch):
     """Constraints at stages inside the runs of the deep walks above: two
     stages of one run count their common copies in place of their cuts,

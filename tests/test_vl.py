@@ -61,7 +61,7 @@ def test_build_examples(vl_small):
     assert col.embed_offsets == (0, 3)
     assert col.spacer_ranges == ((1, 3), (4, 8))
     fam2 = VlFamily(VlSpec(2, ConstR(3)))
-    assert fam2.stack_height(1) == 8 and fam2.height(2) == 16
+    assert fam2.height(2) == 16
     cols = build_vl(VlSpec(1, ConstR(2)), 4)
     assert [c.height for c in cols] == [1, 8, 52, 314]
     assert all(fam2.height(n) % 2 == 0 for n in range(2, 6))
@@ -84,7 +84,6 @@ def test_height_recurrence_formula():
             h = fam.height(n)
             sigma = sum(spec.s_of(n)[1])
             g = r * h + (r - L - 1) * ((2 * L + 1) * h + sigma) + (L * h + sigma)
-            assert fam.stack_height(n) == g
             assert fam.height(n + 1) == 2 * g
 
 
