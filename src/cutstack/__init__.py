@@ -11,7 +11,7 @@ constructions behind the negative directions.
 
 from .afs4 import (AfsParams, ConstRule, HScaleRule, PrefixRule, RatioCycleRule,
                    WMinimalRule, preset_infinite_ergodic_index, validate_V, validate_W)
-from .measure import MeasureValue, format_rational, parse_rational
+from .measure import format_rational, parse_rational
 from .products import (KIntervalTable, Verdict, classify, divisibility_condition,
                        gap_condition, k_intervals, lambda_set,
                        limit_ratio_membership, simultaneous_hits, triple_return_set)
@@ -31,7 +31,7 @@ from .vl import (IndependenceReport, VlFamily, VlSpec, WitnessPair, build_vl,
 __all__ = [
     "AfsParams", "Column", "ConstRule", "DirectionSpec", "Family",
     "HScaleRule", "IndependenceReport", "KIntervalTable", "LevelSet",
-    "MeasureValue", "PrefixRule", "RatioCycleRule", "RunSet",
+    "PrefixRule", "RatioCycleRule", "RunSet",
     "SynthesisTrace", "Verdict", "VlFamily", "VlSpec", "WMinimalRule",
     "WitnessPair", "apply_power", "block_partition", "build_column",
     "build_vl", "classify", "correlation", "correlation_profile", "decompose",

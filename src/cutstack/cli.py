@@ -175,20 +175,22 @@ def cmd_correlate(args) -> int:
     if hi - lo + 1 > args.max_rows:
         raise CutstackError(f"range wider than {args.max_rows} rows; "
                             "narrow it or raise --max-rows")
-    # one profile per coordinate over the lags p*[lo, hi], sampled at p*i
-    columns = []
-    for a, b, p in zip(sets, targets, powers):
-        if p > 0:
-            columns.append(correlation_profile(a, b, p * lo, p * hi, p))
-        else:
-            columns.append(correlation_profile(a, b, p * hi, p * lo, -p)[::-1])
-    zero = format_rational(Fraction(0))
-    rows = []
-    for i, factors in zip(range(lo, hi + 1), zip(*columns)):
+    # one profile per coordinate over the lags p*[lo, hi], sampled at p*i; row i
+    # is positive exactly when p*i is a key of every coordinate's profile, so
+    # the sparsest profile's keys are the only rows worth a product
+    columns = [(p, correlation_profile(a, b, *sorted((p * lo, p * hi)), abs(p)))
+               for a, b, p in zip(sets, targets, powers)]
+    p0, fewest = min(columns, key=lambda c: len(c[1]))
+    values = {}
+    for i in sorted(j // p0 for j in fewest):
+        factors = [col.get(p * i) for p, col in columns]
         if all(factors):
-            rows.append([str(i), format_rational(prod(factors))])
-        elif not args.positive_only:
-            rows.append([str(i), zero])
+            values[i] = format_rational(prod(factors))
+    if args.positive_only:
+        rows = [f"{i},{v}" for i, v in values.items()]
+    else:
+        zero = format_rational(Fraction(0))
+        rows = [f"{i},{values.get(i, zero)}" for i in range(lo, hi + 1)]
     _emit(csv_text(["i", "correlation"], rows), args.out)
     return 0
 

@@ -161,7 +161,6 @@ class Report:
         return "\n".join(self.lines + [f"RESULT={result}"]) + "\n"
 
 
-def csv_text(header: list[str], rows: list[list[str]]) -> str:
-    out = [",".join(header)]
-    out.extend(",".join(row) for row in rows)
-    return "\n".join(out) + "\n"
+def csv_text(header: list[str], rows: list[str]) -> str:
+    """The CSV text of a header and one preformatted line per row."""
+    return "\n".join([",".join(header), *rows]) + "\n"

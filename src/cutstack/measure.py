@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-MeasureValue = Fraction
-
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"

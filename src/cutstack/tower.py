@@ -381,12 +381,12 @@ def correlation(A: LevelSet, B: LevelSet, j: int) -> Fraction:
     return hits * fam.level_width(M) if hits else Fraction(0)
 
 
-_ZERO = Fraction(0)
-
-
 def correlation_profile(A: LevelSet, B: LevelSet, lo: int, hi: int,
-                        step: int = 1) -> list[Fraction]:
-    """``correlation(A, B, j)`` for every j in ``range(lo, hi + 1, step)``.
+                        step: int = 1) -> dict[int, Fraction]:
+    """The positive correlations on the lag grid ``range(lo, hi + 1, step)``:
+    each lag j with ``correlation(A, B, j) > 0`` maps to that value, with the
+    keys in increasing order. Every other lag of the grid has correlation 0,
+    so a profile holds only what its answer holds.
 
     One engine walk answers all lags of one sign: it runs at the lift stage
     valid for the largest lag, and each returned delta is spread over the
@@ -402,17 +402,18 @@ def correlation_profile(A: LevelSet, B: LevelSet, lo: int, hi: int,
                          f"sys.maxsize={sys.maxsize} lags")
     lags = range(lo, hi + 1, step)
     if not lags or A.is_empty() or B.is_empty():
-        return [_ZERO] * len(lags)
+        return {}
     k = len(range(lo, min(hi + 1, 0), step))  # lags below zero come first
-    out: list[Fraction] = []
+    out: dict[int, Fraction] = {}
     if k:
-        out = _profile_nonneg(B, A, range(-lags[k - 1], -lo + 1, step))[::-1]
+        neg = _profile_nonneg(B, A, range(-lags[k - 1], -lo + 1, step))
+        out = {-j: v for j, v in reversed(neg.items())}
     if k < len(lags):
-        out += _profile_nonneg(A, B, lags[k:])
+        out.update(_profile_nonneg(A, B, lags[k:]))
     return out
 
 
-def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
+def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> dict[int, Fraction]:
     fam = A.family
     first, last, step = lags[0], lags[-1], lags.step
     (A0, B0), (n0, M, boxes, cons) = _walk([A, B], [(first, last), (0, 0)])
@@ -423,7 +424,7 @@ def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
     # counts per difference, memoised sparsely: a dense array over the span of
     # the sets' differences would be huge for wide level sets
     cross: dict[int, int] = {}
-    hits = [0] * len(lags)
+    hits: dict[int, int] = {}
     for delta, ways in dc.items():
         j0 = max(first, delta - x_hi)
         j0 += -(j0 - first) % step  # round up onto the lag grid
@@ -433,9 +434,9 @@ def _profile_nonneg(A: LevelSet, B: LevelSet, lags: range) -> list[Fraction]:
             if c is None:
                 c = cross[x] = rn.cross_difference_count(A0.runs, B0.runs, x)
             if c:
-                hits[(j - first) // step] += ways * c
+                hits[j] = hits.get(j, 0) + ways * c
     width = fam.level_width(M)
-    return [h * width if h else _ZERO for h in hits]
+    return {j: hits[j] * width for j in sorted(hits)}
 
 
 def product_correlation(As: list[LevelSet], Bs: list[LevelSet],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from cutstack.errors import CutstackError
 from cutstack.familyfile import (Report, family_from_json, family_to_json, load_family,
                                  save_family)
 from cutstack.synthesis import DirectionSpec, SynthesizedParams, synthesize_R
-from cutstack.tower import LevelSet, product_correlation
+from cutstack.tower import LevelSet, correlation, intersection_measure, product_correlation
 
 EXAMPLE = {
     "format_version": 1, "kind": "afs4", "label": "example",
@@ -460,7 +461,7 @@ def test_correlate_rows_match_product_correlation(example_file, capsys, sets, ta
         return LevelSet.from_ranges(fam, int(stage), ranges)
     As, Bs = [level_set(s) for s in sets], [level_set(t) for t in targets]
     ps = [int(p) for p in powers.split(",")]
-    for i in range(lo, hi + 1, 7):
+    for i in range(lo, hi + 1):
         assert rows[i] == product_correlation(As, Bs, ps, i)
     assert main(argv + ["--positive-only"]) == 0
     assert _csv(capsys) == {i: v for i, v in rows.items() if v}
@@ -494,6 +495,26 @@ def test_correlate_long_sweep_is_one_walk(example_file, capsys, deadline):
     rows = _csv(capsys)
     assert len(rows) == 3001
     assert rows[4] == Fraction(1, 4) and rows[100] == Fraction(171, 1024)
+
+
+def test_correlate_positive_only_sweep_costs_its_rows(tmp_path, capsys, deadline):
+    # a per-lag profile took over 5 s and about 480 MB on this 30,000,001-lag
+    # grid, though only 5,765 of its lags have positive correlation
+    preset_path = tmp_path / "preset.json"
+    preset_path.write_text(json.dumps(PRESET))
+    with deadline(2):
+        assert main(["correlate", str(preset_path), "--set", "1:0", "--powers", "1",
+                     "--range", "0..30000000", "--positive-only",
+                     "--max-rows", "100000000"]) == 0
+    rows = _csv(capsys)
+    assert len(rows) == 5765
+    A = LevelSet.level(load_family(str(preset_path)), 1, 0)
+    assert all(correlation(A, A, i) == v for i, v in rows.items())
+    rng = random.Random(5765)
+    unlisted = [i for i in (rng.randint(0, 30_000_000) for _ in range(40))
+                if i not in rows][:20]
+    assert len(unlisted) == 20
+    assert all(intersection_measure([A, A], [i, 0]) == 0 for i in unlisted)
 
 
 def test_witness_command(tmp_path, capsys):

@@ -367,12 +367,21 @@ def _profile_case(data, fam):
     return A, B, lo, hi, data.draw(st.integers(1, 3))
 
 
+def _dense(profile, lo, hi, step=1):
+    """A sparse profile on every lag of its grid, once its keys are checked:
+    increasing, on ``range(lo, hi + 1, step)`` and with positive values."""
+    grid = range(lo, hi + 1, step)
+    assert list(profile) == sorted(profile)
+    assert all(j in grid and v > 0 for j, v in profile.items())
+    return [profile.get(j, 0) for j in grid]
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_correlation_profile_matches_per_lag(example_family, roomy_family, vl_small, data):
     fam = data.draw(st.sampled_from([example_family, roomy_family, vl_small]))
     A, B, lo, hi, step = _profile_case(data, fam)
-    assert correlation_profile(A, B, lo, hi, step) == \
+    assert _dense(correlation_profile(A, B, lo, hi, step), lo, hi, step) == \
         [correlation(A, B, j) for j in range(lo, hi + 1, step)]
 
 
@@ -398,12 +407,12 @@ def test_correlation_profile_cases(example_family, vl_small):
              (B, C, 0, 120), (A, B, boundary - 20, boundary + 20), (A, A, 5, 4)]
     for X, Y, lo, hi in cases:
         for step in (1, 2, 7):
-            assert correlation_profile(X, Y, lo, hi, step) == \
+            assert _dense(correlation_profile(X, Y, lo, hi, step), lo, hi, step) == \
                 [correlation(X, Y, j) for j in range(lo, hi + 1, step)]
     empty = LevelSet(fam, 1, ())
-    assert correlation_profile(empty, A, -2, 2) == [0] * 5
+    assert correlation_profile(empty, A, -2, 2) == {}
     V = LevelSet.from_indices(vl_small, 2, [0, 3, 5])
-    assert correlation_profile(V, V, -30, 30) == \
+    assert _dense(correlation_profile(V, V, -30, 30), -30, 30) == \
         [correlation(V, V, j) for j in range(-30, 31)]
     with pytest.raises(ValueError):
         correlation_profile(A, B, 0, 5, 0)
@@ -416,7 +425,7 @@ def test_correlation_profile_matches_naive(roomy_family, roomy_naive):
         B = LevelSet.from_ranges(roomy_family, 1, _random_runs(rng, 400, 4))
         a_idx, b_idx = set(A.indices()), set(B.indices())
         lo, hi = -300, 300
-        got = correlation_profile(A, B, lo, hi)
+        got = _dense(correlation_profile(A, B, lo, hi), lo, hi)
         assert got == [roomy_naive.correlation(2, a_idx, 1, b_idx, j)
                        for j in range(lo, hi + 1)]
 
